@@ -14,6 +14,12 @@
 // /models/{name}, DELETE /models/{name}) hot-add, replace, or retire
 // entries under load without draining.
 //
+// Each estimate is computed in its request handler: at most -workers
+// computations run at once, up to -queue more wait for a slot (until
+// -deadline, then 504), and a cache miss beyond that answers 429. A cache
+// hit takes no slot. -shards offloads startup tuning to awworker processes;
+// serving itself always computes in process.
+//
 // SIGINT/SIGTERM triggers a graceful drain: readiness flips to 503, new
 // estimation work is refused, accepted work is answered, in-flight HTTP
 // responses complete, and the ledger/trace artifacts are flushed with
@@ -49,12 +55,10 @@ func main() {
 		full         = flag.Bool("full", false, "tune at the full-fidelity workload scale")
 		modelPath    = flag.String("model", "", "serve a saved model file (accelwattch-model-v1 JSON) for all variants instead of tuning")
 		manifestPath = flag.String("models", "", "serve a multi-architecture model zoo from a manifest file (overrides -model/-arch)")
-		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "batch worker count (responses are identical at any setting)")
-		queue        = flag.Int("queue", serve.DefaultQueueSize, "estimation queue bound; a full queue answers 429")
-		batch        = flag.Int("batch", serve.DefaultMaxBatch, "max jobs coalesced per engine dispatch")
-		batchWindow  = flag.Duration("batch-window", 0, "how long the batcher may wait to fill a batch (0 = greedy coalescing)")
+		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent estimate computations, and startup tuning workers (responses are identical at any setting)")
+		queue        = flag.Int("queue", serve.DefaultQueueSize, "estimates that may wait for a compute slot; beyond that a cache miss answers 429")
 		cacheSize    = flag.Int("cache", 4096, "response LRU capacity in entries (0 disables caching)")
-		deadline     = flag.Duration("deadline", serve.DefaultDeadline, "per-request deadline")
+		deadline     = flag.Duration("deadline", serve.DefaultDeadline, "how long a request may wait for a compute slot before answering 504")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for accepted work and in-flight responses")
 		ledgerCap    = flag.Int("ledger-cap", 65536, "attribution-ledger retention in events (0 = unbounded; unsafe for long runs)")
 	)
@@ -63,14 +67,6 @@ func main() {
 	flag.Parse()
 
 	run := cli.StartCapped("awserve", *archName, *traceOut, *ledgerOut, *ledgerCap)
-	cfg := serve.Config{
-		Workers:     *workers,
-		QueueSize:   *queue,
-		MaxBatch:    *batch,
-		BatchWindow: *batchWindow,
-		CacheSize:   *cacheSize,
-		Deadline:    *deadline,
-	}
 	// remote stays a nil interface when shards are off — a typed-nil
 	// dispatcher would defeat the opts.Shards != nil gate downstream.
 	var remote tune.RemoteCaller
@@ -81,8 +77,7 @@ func main() {
 		}
 		defer d.Close()
 		remote = d
-		cfg.Tasks = d
-		run.Log.Info("offloading to worker shards", "addrs", shards.Addrs, "net_faults", shards.NetProfile)
+		run.Log.Info("offloading startup tuning to worker shards", "addrs", shards.Addrs, "net_faults", shards.NetProfile)
 	}
 	set, err := buildSet(*manifestPath, *modelPath, *archName, *full, *workers, remote,
 		func(format string, args ...any) { run.Log.Warn(fmt.Sprintf(format, args...)) })
@@ -94,8 +89,13 @@ func main() {
 			"variants", len(e.Variants()), "default", e.Name == set.Default)
 	}
 
-	cfg.Zoo = set
-	srv, err := serve.New(cfg)
+	srv, err := serve.New(serve.Config{
+		Zoo:       set,
+		Workers:   *workers,
+		QueueSize: *queue,
+		CacheSize: *cacheSize,
+		Deadline:  *deadline,
+	})
 	if err != nil {
 		run.Fatal(err)
 	}

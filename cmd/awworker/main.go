@@ -1,18 +1,17 @@
 // Command awworker is a remote engine shard: a process that serves
-// operating-point measurements (and, with -model, estimation/sweep
-// computations) over the shard task protocol to a coordinator running
-// awtune, awvalidate, awsweep, or awserve with -shards.
+// operating-point measurements over the shard task protocol to a
+// coordinator running awtune, awvalidate, awsweep, or awserve (for its
+// startup tuning) with -shards.
 //
 //	awworker -listen :9191 -arch volta                  # measurement shard
-//	awworker -listen :9191 -model volta.json            # + serving shard
 //	awtune -shards localhost:9191,localhost:9192        # coordinator
 //
-// A worker must be started with the same -arch/-full/-faults/-fault-seed
-// (and, for serving tasks, the same -model) as its coordinator: every task
-// carries a configuration fingerprint, and a worker built differently
-// refuses the task ("unsupported") so the coordinator computes it locally
-// instead of adopting bytes from a divergent configuration. Placement can
-// therefore never change a result — only who computes it.
+// A worker must be started with the same -arch/-full/-faults/-fault-seed as
+// its coordinator: every task carries a configuration fingerprint, and a
+// worker built differently refuses the task ("unsupported") so the
+// coordinator computes it locally instead of adopting bytes from a
+// divergent configuration. Placement can therefore never change a result —
+// only who computes it.
 //
 // SIGINT/SIGTERM drains gracefully: /readyz flips to 503 (so dispatcher
 // health checks quarantine this worker), new tasks are refused, in-flight
@@ -35,8 +34,6 @@ import (
 
 	"accelwattch"
 	"accelwattch/internal/cli"
-	"accelwattch/internal/core"
-	"accelwattch/internal/serve"
 	"accelwattch/internal/shard"
 	"accelwattch/internal/tune"
 )
@@ -51,7 +48,6 @@ func main() {
 		faultName = flag.String("faults", "off", "power-meter fault profile ("+
 			strings.Join(accelwattch.NamedFaultProfiles(), ", ")+"); must match the coordinator")
 		faultSeed    = flag.Int64("fault-seed", 1, "deterministic seed for the fault injector; must match the coordinator")
-		modelPath    = flag.String("model", "", "also serve estimate/sweep tasks for this saved model (accelwattch-model-v1 JSON)")
 		maxInflight  = flag.Int("max-inflight", 0, "concurrent task bound; excess answers 429 (0 = 4x GOMAXPROCS)")
 		taskDeadline = flag.Duration("task-deadline", 30*time.Second, "per-task execution deadline; overruns answer 504")
 		crashAfter   = flag.Int64("crash-after", 0, "abort the process after admitting this many tasks (0 = never); for failover testing")
@@ -84,19 +80,6 @@ func main() {
 	}
 	mux := shard.NewMux()
 	tune.RegisterMeasureTask(mux, tb, tune.StandardWorkloads(arch, sc))
-	if *modelPath != "" {
-		m, err := core.LoadModel(*modelPath)
-		if err != nil {
-			run.Fatal(err)
-		}
-		models := make(map[tune.Variant]*core.Model, tune.NumVariants)
-		for _, v := range tune.Variants() {
-			models[v] = m
-		}
-		if err := serve.RegisterTasks(mux, models); err != nil {
-			run.Fatal(err)
-		}
-	}
 
 	var onTask func(int64)
 	if *crashAfter > 0 {

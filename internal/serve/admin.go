@@ -155,10 +155,6 @@ func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request, name str
 		fail(statusErrorf(400, "serve: invalid model name %q (want 1-%d chars of [a-z0-9._-])", name, zoo.MaxNameLen))
 		return
 	}
-	if s.Draining() {
-		fail(statusErrorf(503, "server is draining"))
-		return
-	}
 	body, ok := readBody(w, r)
 	if !ok {
 		mAdminOps.With(op, "error").Inc()

@@ -5,12 +5,12 @@ import (
 	"sync"
 )
 
-// result is the unit of caching and singleflight sharing: the marshalled
-// response body (the exact bytes every requester receives, which is what
-// makes cached and freshly-computed replies bit-identical) plus the
-// attribution payload the ledger wants per served estimate. Failed
-// computations are never cached — by construction they cannot occur after
-// request validation, so a result in the cache is always a success.
+// result is the unit of caching: the marshalled response body (the exact
+// bytes every requester receives, which is what makes cached and
+// freshly-computed replies bit-identical) plus the attribution payload the
+// ledger wants per served estimate. Failed computations are never cached —
+// by construction they cannot occur after request validation, so a result
+// in the cache is always a success.
 type result struct {
 	body   []byte
 	powerW float64
@@ -88,48 +88,4 @@ func (c *lruCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// flightGroup deduplicates concurrent identical computations: the first
-// requester of a key becomes the leader and enqueues the work; every
-// concurrent requester of the same key waits on the same flight and shares
-// the leader's result. Unlike engine.Store, entries are transient — a
-// flight is removed as soon as it lands, because the LRU above is the
-// long-term memory.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flight
-}
-
-type flight struct {
-	done chan struct{} // closed when res is final
-	res  result
-	err  error
-}
-
-func newFlightGroup() *flightGroup {
-	return &flightGroup{m: make(map[string]*flight)}
-}
-
-// join returns the in-progress flight for key, or creates one and reports
-// leader=true. The leader must call land exactly once.
-func (g *flightGroup) join(key string) (f *flight, leader bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if f, ok := g.m[key]; ok {
-		return f, false
-	}
-	f = &flight{done: make(chan struct{})}
-	g.m[key] = f
-	return f, true
-}
-
-// land publishes the leader's result to every waiter and retires the
-// flight.
-func (g *flightGroup) land(key string, f *flight, res result, err error) {
-	f.res, f.err = res, err
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(f.done)
 }

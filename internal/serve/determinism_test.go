@@ -18,7 +18,7 @@ import (
 func TestServingDeterminism(t *testing.T) {
 	// A fixed mixed workload: 24 distinct estimates across variants and
 	// operating points, plus 8 distinct sweeps. Repeats below drive cache
-	// hits and singleflight joins.
+	// hits and concurrent identical misses.
 	type wire struct {
 		route string
 		body  []byte
@@ -56,7 +56,8 @@ func TestServingDeterminism(t *testing.T) {
 				_, ts := newTestServer(t, Config{Workers: workers, CacheSize: cacheSize})
 				// 96 concurrent requests over the 32 fixed bodies: every
 				// body is served three times, so the second and third
-				// rounds exercise cache hits (cache on) and flight joins.
+				// rounds exercise cache hits (cache on) and concurrent
+				// identical misses.
 				const rounds = 3
 				var wg sync.WaitGroup
 				errs := make(chan error, rounds*len(fixed))

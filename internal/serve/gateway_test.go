@@ -410,6 +410,28 @@ func TestAdminRegistryCap(t *testing.T) {
 	}
 }
 
+// An admin PUT that loses the race with a drain answers 503, the same as
+// one that arrives after it: the draining error carries its own status.
+func TestAdminPutWhileDraining(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeStatusErr(rec, errDraining)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("writeStatusErr(errDraining) answered %d, want 503", rec.Code)
+	}
+
+	s, ts := newZooServer(t, Config{})
+	if err := s.Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	code, resp := putJSON(t, ts, "/models/late", []byte(`{"derive":{"from":"volta-base","arch":"pascal"}}`))
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("PUT during drain answered %d: %s", code, resp)
+	}
+	if s.Entry("late") != nil {
+		t.Fatal("PUT during drain installed the entry")
+	}
+}
+
 // Hot add and retire under concurrent load: in-flight responses never
 // change, and /readyz never flips for unaffected models — including while
 // an install is visibly in the "deriving" state.

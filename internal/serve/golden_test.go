@@ -54,8 +54,9 @@ func goldenRequests() []goldenCase {
 }
 
 // TestGoldenSingleModelBackCompat replays the pinned request set against a
-// server built from the legacy single-model configuration and requires the
-// exact pre-refactor status and body for every case. Regenerate (only when
+// server whose zoo holds one entry serving the fixture model for every
+// variant, and requires the exact pre-refactor status and body for every
+// case. Regenerate (only when
 // the serving contract is deliberately changed) with:
 //
 //	UPDATE_SERVE_GOLDEN=1 go test ./internal/serve/ -run TestGoldenSingleModelBackCompat

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"accelwattch/internal/obs"
-	"accelwattch/internal/tune"
 )
 
 // maxBodyBytes bounds request bodies; anything larger answers 413 before
@@ -100,7 +99,7 @@ func failServe(w http.ResponseWriter, err error) {
 		httpError(w, http.StatusTooManyRequests, "estimation queue full; retry")
 	case errors.Is(err, errDraining):
 		mRejected.With("draining").Inc()
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
+		writeStatusErr(w, err)
 	case errors.Is(err, context.DeadlineExceeded):
 		httpError(w, http.StatusGatewayTimeout, "deadline exceeded")
 	case errors.Is(err, context.Canceled):
@@ -118,8 +117,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.Draining() {
-		mRejected.With("draining").Inc()
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
+		failServe(w, errDraining)
 		return
 	}
 	body, ok := readBody(w, r)
@@ -136,14 +134,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeStatusErr(w, err)
 		return
 	}
-	if m := u.entry.Model(mustVariant(req.Variant)); m == nil {
+	be := u.estimator(req.Variant)
+	if be == nil {
 		httpError(w, http.StatusBadRequest, "variant "+req.Variant+" not served")
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadline)
-	defer cancel()
-	res, err := s.answer(ctx, u, req.CacheKey(), func() (result, error) {
-		return s.computeEstimate(u, req)
+	res, err := s.answer(r.Context(), u, req.CacheKey(), func() (result, error) {
+		return estimateResultBatched(be, req)
 	})
 	if err != nil {
 		failServe(w, err)
@@ -161,8 +158,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.Draining() {
-		mRejected.With("draining").Inc()
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
+		failServe(w, errDraining)
 		return
 	}
 	body, ok := readBody(w, r)
@@ -179,30 +175,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeStatusErr(w, err)
 		return
 	}
-	if m := u.entry.Model(mustVariant(req.Variant)); m == nil {
+	be := u.estimator(req.Variant)
+	if be == nil {
 		httpError(w, http.StatusBadRequest, "variant "+req.Variant+" not served")
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadline)
-	defer cancel()
-	res, err := s.answer(ctx, u, req.CacheKey(), func() (result, error) {
-		return s.computeSweep(u, req)
+	res, err := s.answer(r.Context(), u, req.CacheKey(), func() (result, error) {
+		return sweepResultBatched(be, req)
 	})
 	if err != nil {
 		failServe(w, err)
 		return
 	}
 	writeResult(w, res.body)
-}
-
-// mustVariant parses a variant name that decode already validated; the
-// sentinel -1 only appears if a caller bypassed validation.
-func mustVariant(name string) tune.Variant {
-	v, err := ParseVariant(name)
-	if err != nil {
-		return tune.Variant(-1)
-	}
-	return v
 }
 
 // handleHealthz reports liveness plus a configuration snapshot. The
@@ -245,21 +230,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"default":  defaultName,
 		"models":   models,
 	}
-	if s.tasks != nil {
-		snapshot["shards"] = s.tasks.States()
-		snapshot["degraded"] = s.tasks.Degraded()
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_ = json.NewEncoder(w).Encode(snapshot)
 }
 
-// handleReadyz is the load-balancer gate: ready until drain begins. A
-// fully-degraded shard fleet does NOT flip readiness — every computation
-// still answers, bit-identically, from the local fallback — but the detail
-// line says so, so operators and probes can see the degradation. The lines
-// after the first report per-model readiness; a model mid-derivation or
-// retired never flips overall readiness, because every other entry keeps
+// handleReadyz is the load-balancer gate: ready until drain begins. The
+// lines after the first report per-model readiness; a model mid-derivation
+// or retired never flips overall readiness, because every other entry keeps
 // answering (and a replacement's old unit serves until the swap).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
@@ -267,11 +245,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.tasks != nil && s.tasks.Degraded() {
-		_, _ = io.WriteString(w, "ok (degraded: all remote shards unavailable, serving from local fallback)\n")
-	} else {
-		_, _ = io.WriteString(w, "ok\n")
-	}
+	_, _ = io.WriteString(w, "ok\n")
 	s.umu.RLock()
 	for _, name := range s.order {
 		_, _ = fmt.Fprintf(w, "model %s: %s\n", name, s.states[name])

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -15,7 +16,7 @@ import (
 // traffic and asserts zero 5xx responses and a clean drain — the in-process
 // version of CI's load-smoke job.
 func TestServeLoadSmoke(t *testing.T) {
-	s, err := New(Config{Models: testModels(), Workers: 8, CacheSize: 256})
+	s, err := New(Config{Zoo: testSet(t, testModels()), Workers: 8, CacheSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestServeLoadSmoke(t *testing.T) {
 // BenchmarkServeMixedLoad is the load client CI's load-smoke job runs: ≥64
 // concurrent clients of mixed estimate/sweep traffic. Any 5xx fails it.
 func BenchmarkServeMixedLoad(b *testing.B) {
-	s, err := New(Config{Models: testModels(), Workers: 8, CacheSize: 1024})
+	s, err := New(Config{Zoo: testSet(b, testModels()), Workers: 8, CacheSize: 1024})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,6 +104,9 @@ func BenchmarkServeMixedLoad(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			// Read the body to the end so the transport reuses the
+			// connection; otherwise every request pays a TCP setup.
+			_, _ = io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
 				b.Fatalf("status %d", resp.StatusCode)

@@ -22,10 +22,7 @@ var (
 	mCacheEvents = obs.Default().CounterVec("aw_serve_cache_events_total",
 		"Response-cache events (hit, miss, eviction, bypass), by model shard.", "model", "result")
 	mQueueDepth = obs.Default().Gauge("aw_serve_queue_depth",
-		"Estimation jobs currently queued for the batcher.")
-	mBatchSize = obs.Default().Histogram("aw_serve_batch_size",
-		"Jobs coalesced per engine dispatch.",
-		[]float64{1, 2, 4, 8, 16, 32, 64, 128})
+		"Admitted estimate computations currently waiting for a compute slot.")
 	mRejected = obs.Default().CounterVec("aw_serve_rejected_total",
 		"Requests rejected before computation, by reason (backpressure, draining, deadline, canceled).", "reason")
 	mDraining = obs.Default().Gauge("aw_serve_draining",

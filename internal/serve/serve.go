@@ -6,12 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"accelwattch/internal/attr"
 	"accelwattch/internal/core"
-	"accelwattch/internal/engine"
 	"accelwattch/internal/eval"
 	"accelwattch/internal/obs"
 	"accelwattch/internal/tune"
@@ -19,68 +20,49 @@ import (
 )
 
 // Config sizes the service. The zero value of each field selects the
-// documented default; exactly one of Zoo or Models must be provided.
+// documented default; Zoo is required.
 type Config struct {
 	// Zoo is the multi-architecture model set the gateway serves: named
 	// entries (tuned, file-loaded, derived), each becoming a model-scoped
-	// serving unit with its own cache shard and metrics labels. Takes
-	// precedence over Models.
+	// serving unit with its own cache shard and metrics labels.
 	Zoo *zoo.Set
-
-	// Models is the legacy single-entry configuration: one variant->model
-	// table, served as the default entry named "default". Variants absent
-	// from the map answer 400. Responses under this configuration are
-	// byte-identical to the pre-gateway server (golden-tested).
-	Models map[tune.Variant]*core.Model
 
 	// MaxModels caps the registry so the bounded `model` metric label and
 	// the admin surface cannot grow without limit. Default 64.
 	MaxModels int
 
-	// Workers is the engine pool width batches fan out across. Values < 1
+	// Workers is how many estimate computations run at once; values < 1
 	// mean 1. Responses are bit-identical at every setting.
 	Workers int
 
-	// QueueSize bounds the batcher's job queue; a full queue answers 429
-	// with Retry-After instead of building unbounded backlog. Default 256.
+	// QueueSize is how many admitted computations may wait for one of the
+	// Workers compute slots. Once Workers+QueueSize computations are
+	// admitted, further cache misses answer 429 with Retry-After instead of
+	// building unbounded backlog. Default 256.
 	QueueSize int
 
-	// MaxBatch caps how many queued jobs one engine dispatch coalesces.
-	// Default 32.
+	// Deprecated: MaxBatch is ignored. Estimates are computed in the request
+	// handler, so there is no batch to cap.
 	MaxBatch int
-
-	// BatchWindow, when positive, lets the dispatcher wait up to this long
-	// to fill a batch after the first job arrives. Zero (the default)
-	// coalesces greedily: whatever is already queued goes out together,
-	// and an idle service adds no latency.
-	BatchWindow time.Duration
 
 	// CacheSize is the per-model response LRU shard capacity in entries.
 	// Zero or negative disables caching entirely.
 	CacheSize int
 
-	// Deadline bounds each request end to end; a request that cannot be
-	// answered in time gets 504. Default 5s.
+	// Deadline bounds how long a request waits for a compute slot; a
+	// request still waiting when it expires gets 504. Default 5s.
 	Deadline time.Duration
-
-	// Tasks, when non-nil, offloads estimate and sweep computations to a
-	// fleet of remote worker shards (typically a *shard.Dispatcher over
-	// awworker processes). Remote placement is an accelerator, never an
-	// authority: any placement failure falls back to the in-process
-	// computation, which produces bit-identical bytes, so a degraded or
-	// dead fleet slows the service without changing a single response.
-	// Placement is pinned by model fingerprint, so a worker that does not
-	// hold a given zoo entry's exact model refuses its tasks and the
-	// gateway computes them locally.
-	Tasks TaskDispatcher
 }
 
 // Defaults for the zero Config fields.
 const (
 	DefaultQueueSize = 256
-	DefaultMaxBatch  = 32
 	DefaultDeadline  = 5 * time.Second
 	DefaultMaxModels = 64
+
+	// Deprecated: DefaultMaxBatch is the value of the ignored
+	// Config.MaxBatch.
+	DefaultMaxBatch = 32
 
 	// maxRetiredTombstones bounds how many retired entries /healthz and
 	// /readyz keep reporting; beyond it the oldest tombstones are dropped.
@@ -97,7 +79,7 @@ const (
 // Sentinel errors mapped to HTTP statuses by the handlers.
 var (
 	errBackpressure = errors.New("serve: queue full")
-	errDraining     = errors.New("serve: draining")
+	errDraining     = &statusError{code: http.StatusServiceUnavailable, msg: "server is draining"}
 )
 
 // statusError carries an explicit HTTP status from routing and admin
@@ -114,16 +96,15 @@ func statusErrorf(code int, format string, args ...any) *statusError {
 }
 
 // unit is one model-scoped serving unit: an immutable zoo entry plus the
-// serving state scoped to it — its response-cache shard, its singleflight
-// group, and the per-variant model fingerprints remote placement pins to.
-// Units are immutable once installed; hot add/swap/retire replaces the map
-// slot, never the unit, so a request that resolved a unit keeps a
-// consistent model for its whole lifetime.
+// serving state scoped to it — its response-cache shard and the per-variant
+// model fingerprints the admin listing reports. Units are immutable once
+// installed; hot add/swap/retire replaces the map slot, never the unit, so a
+// request that resolved a unit keeps a consistent model for its whole
+// lifetime.
 type unit struct {
-	entry   *zoo.Entry
-	fps     [tune.NumVariants]string
-	cache   *lruCache
-	flights *flightGroup
+	entry *zoo.Entry
+	fps   [tune.NumVariants]string
+	cache *lruCache
 
 	// energy is the model's pre-resolved energy-attribution series (the
 	// model is the gateway's "tenant"); resolved once at install so the
@@ -131,21 +112,14 @@ type unit struct {
 	energy *attr.Handle
 
 	// bes are the per-variant batch estimators: the model's coefficient
-	// tables pre-resolved once per model fingerprint at install time, so the
-	// request hot path never re-derives them. Variants sharing one model
-	// (the legacy single-model configuration) share one estimator. A nil
-	// slot (unserved variant, or a model the estimator refused) falls back
-	// to the scalar path, which is bit-identical by contract.
+	// tables pre-resolved once per model at install time, so the request
+	// hot path never re-derives them. Variants sharing one model share one
+	// estimator; a nil slot is a variant the entry does not serve.
 	bes [tune.NumVariants]*core.BatchEstimator
 }
 
-func newUnit(e *zoo.Entry, cacheSize int) *unit {
-	u := &unit{
-		entry:   e,
-		cache:   newLRUCache(e.Name, cacheSize),
-		flights: newFlightGroup(),
-		energy:  mEnergy.Handle(e.Name),
-	}
+func newUnit(e *zoo.Entry, cacheSize int) (*unit, error) {
+	u := &unit{entry: e}
 	for _, v := range e.Variants() {
 		u.fps[v] = e.Fingerprint(v)
 		m := e.Model(v)
@@ -156,26 +130,39 @@ func newUnit(e *zoo.Entry, cacheSize int) *unit {
 			}
 		}
 		if u.bes[v] == nil {
-			if be, err := core.NewBatchEstimator(m); err == nil {
-				u.bes[v] = be
+			be, err := core.NewBatchEstimator(m)
+			if err != nil {
+				return nil, fmt.Errorf("serve: model %s, variant %v: %w", e.Name, v, err)
 			}
+			u.bes[v] = be
 		}
 	}
-	return u
+	u.cache = newLRUCache(e.Name, cacheSize)
+	u.energy = mEnergy.Handle(e.Name)
+	return u, nil
+}
+
+// estimator returns the unit's batch estimator for a variant name, or nil
+// when the unit does not serve that variant.
+func (u *unit) estimator(variant string) *core.BatchEstimator {
+	v, err := ParseVariant(variant)
+	if err != nil {
+		return nil
+	}
+	return u.bes[v]
 }
 
 // Server is the power-estimation gateway: a registry of model-scoped
 // serving units (the zoo), request routing by model name or architecture,
-// shared batching across an engine worker pool, per-model LRU + singleflight
-// response caches, admin endpoints for hot add/swap/retire, and graceful
-// drain on shutdown. It implements http.Handler via Mux.
+// per-model LRU response caches, estimates computed in the request handler
+// behind a bounded admission semaphore, admin endpoints for hot
+// add/swap/retire, and graceful drain on shutdown. It implements
+// http.Handler via Mux.
 type Server struct {
-	workers     int
-	deadline    time.Duration
-	batchWindow time.Duration
-	maxBatch    int
-	cacheSize   int
-	maxModels   int
+	workers   int
+	deadline  time.Duration
+	cacheSize int
+	maxModels int
 
 	// umu guards the unit registry: the name->unit map, registration
 	// order, per-entry states (including retired tombstones), and the
@@ -187,28 +174,21 @@ type Server struct {
 	order       []string
 	defaultName string
 
-	jobs  chan *job
-	slots *engine.Pool[struct{}]
+	// admitted holds one token per admitted computation (Workers+QueueSize
+	// of them); a cache miss that finds it full answers 429. slots holds
+	// one token per running computation (Workers of them); an admitted
+	// request waits for one until its deadline.
+	admitted chan struct{}
+	slots    chan struct{}
 
-	// tasks is the optional shard fleet. baseCtx scopes remote placements
-	// to the server's lifetime: Close cancels it so a stuck remote retry
-	// can never hold a drain hostage — the in-flight jobs fall back to
-	// local compute and finish.
-	tasks      TaskDispatcher
-	baseCtx    context.Context
-	cancelBase context.CancelFunc
-
-	mu       sync.RWMutex // guards draining against enqueue
+	mu       sync.RWMutex // guards draining against admission
 	draining bool
-	pending  sync.WaitGroup // accepted-but-unanswered jobs
-	done     chan struct{}  // dispatcher exited
+	pending  sync.WaitGroup // admitted-but-unfinished computations
 
-	closeOnce sync.Once
-
-	// testHookCompute, when non-nil, runs at the head of every job
-	// execution. Tests use it to hold jobs in flight and drive the
-	// backpressure, deadline, drain, and singleflight paths
-	// deterministically. Always nil in production.
+	// testHookCompute, when non-nil, runs inside a compute slot just
+	// before the computation. Tests use it to hold slots and drive the
+	// backpressure, deadline, cancel, and drain paths deterministically.
+	// Always nil in production.
 	testHookCompute func()
 
 	// testHookAdmin, when non-nil, runs inside admin installs between the
@@ -217,45 +197,23 @@ type Server struct {
 	testHookAdmin func(name string)
 }
 
-// job is one computation travelling through the batcher. The flight fans
-// its landing out to every requester waiting on the same canonical key, and
-// the unit pins which cache shard the landing populates.
-type job struct {
-	key     string
-	unit    *unit
-	compute func() (result, error)
-	flight  *flight
-}
-
-// New builds and starts a gateway (its dispatcher goroutine runs until
-// Close).
+// New builds a gateway over cfg.Zoo.
 func New(cfg Config) (*Server, error) {
 	set := cfg.Zoo
 	if set == nil {
-		if len(cfg.Models) == 0 {
-			return nil, fmt.Errorf("serve: no models configured")
-		}
-		e, err := zoo.PerVariant("default", cfg.Models, "config")
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		set = &zoo.Set{Default: "default", Entries: []*zoo.Entry{e}}
+		return nil, fmt.Errorf("serve: no models configured")
 	}
 	if err := set.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s := &Server{
-		workers:     cfg.Workers,
+		workers:     max(cfg.Workers, 1),
 		deadline:    cfg.Deadline,
-		batchWindow: cfg.BatchWindow,
-		maxBatch:    cfg.MaxBatch,
 		cacheSize:   cfg.CacheSize,
 		maxModels:   cfg.MaxModels,
 		units:       make(map[string]*unit, len(set.Entries)),
 		states:      make(map[string]string, len(set.Entries)),
 		defaultName: set.Default,
-		done:        make(chan struct{}),
-		tasks:       cfg.Tasks,
 	}
 	if s.maxModels < 1 {
 		s.maxModels = DefaultMaxModels
@@ -263,20 +221,17 @@ func New(cfg Config) (*Server, error) {
 	if len(set.Entries) > s.maxModels {
 		return nil, fmt.Errorf("serve: %d models configured, cap is %d", len(set.Entries), s.maxModels)
 	}
-	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	for _, e := range set.Entries {
-		s.units[e.Name] = newUnit(e, s.cacheSize)
+		u, err := newUnit(e, s.cacheSize)
+		if err != nil {
+			return nil, err
+		}
+		s.units[e.Name] = u
 		s.states[e.Name] = StateReady
 		s.order = append(s.order, e.Name)
 		mModelState.With(e.Name).Set(stateValue(StateReady))
 	}
 	mModels.Set(float64(len(s.units)))
-	if s.workers < 1 {
-		s.workers = 1
-	}
-	if s.maxBatch < 1 {
-		s.maxBatch = DefaultMaxBatch
-	}
 	if s.deadline <= 0 {
 		s.deadline = DefaultDeadline
 	}
@@ -284,12 +239,11 @@ func New(cfg Config) (*Server, error) {
 	if queue < 1 {
 		queue = DefaultQueueSize
 	}
-	s.jobs = make(chan *job, queue)
-	s.slots = engine.Slots(s.workers)
+	s.admitted = make(chan struct{}, s.workers+queue)
+	s.slots = make(chan struct{}, s.workers)
 	// Note: mDraining is deliberately not reset here. The serve metrics are
 	// process-global, and a freshly constructed Server must not clear the
 	// draining indicator of another instance in the same process.
-	go s.dispatch()
 	return s, nil
 }
 
@@ -305,9 +259,6 @@ func stateValue(state string) float64 {
 		return 2
 	}
 }
-
-// Workers returns the engine pool width.
-func (s *Server) Workers() int { return s.workers }
 
 // DefaultName returns the entry requests without a routing field resolve to.
 func (s *Server) DefaultName() string {
@@ -399,7 +350,8 @@ func (s *Server) resolveUnit(model, arch string) (*unit, error) {
 // draining: the new unit is built off-lock, then swapped into the registry
 // under the write lock. Requests that already resolved the old unit finish
 // on it — zero in-flight responses change — and requests arriving after the
-// swap see the new model. The transitional state is visible as "deriving".
+// swap see the new model. The transitional state is visible as "deriving";
+// if the build fails, the entry's previous state is restored.
 func (s *Server) AddEntry(e *zoo.Entry) error {
 	if e == nil {
 		return statusErrorf(400, "serve: nil entry")
@@ -416,10 +368,11 @@ func (s *Server) AddEntry(e *zoo.Entry) error {
 		s.umu.Unlock()
 		return statusErrorf(409, "serve: model registry is full (%d entries); retire one first", s.maxModels)
 	}
+	prevState, listed := s.states[e.Name], s.listedLocked(e.Name)
 	s.states[e.Name] = StateDeriving
 	// List the name immediately so /healthz and /readyz report the install
 	// in its transitional "deriving" state, not only after it lands.
-	if !s.listedLocked(e.Name) {
+	if !listed {
 		s.order = append(s.order, e.Name)
 	}
 	mModelState.With(e.Name).Set(stateValue(StateDeriving))
@@ -428,9 +381,23 @@ func (s *Server) AddEntry(e *zoo.Entry) error {
 	if s.testHookAdmin != nil {
 		s.testHookAdmin(e.Name)
 	}
-	u := newUnit(e, s.cacheSize)
+	u, err := newUnit(e, s.cacheSize)
 
 	s.umu.Lock()
+	defer s.umu.Unlock()
+	if err != nil {
+		if prevState == "" {
+			delete(s.states, e.Name)
+			mModelState.DeleteLabel("model", e.Name)
+		} else {
+			s.states[e.Name] = prevState
+			mModelState.With(e.Name).Set(stateValue(prevState))
+		}
+		if !listed {
+			s.order = slices.DeleteFunc(s.order, func(n string) bool { return n == e.Name })
+		}
+		return err
+	}
 	s.units[e.Name] = u
 	s.states[e.Name] = StateReady
 	if !s.listedLocked(e.Name) {
@@ -438,7 +405,6 @@ func (s *Server) AddEntry(e *zoo.Entry) error {
 	}
 	mModelState.With(e.Name).Set(stateValue(StateReady))
 	mModels.Set(float64(len(s.units)))
-	s.umu.Unlock()
 	return nil
 }
 
@@ -510,96 +476,82 @@ func (s *Server) pruneTombstonesLocked() {
 	s.order = kept
 }
 
-// enqueue hands a job to the batcher, honouring drain and backpressure.
-func (s *Server) enqueue(j *job) error {
+// answer resolves one validated request through the unit's cache shard,
+// computing on a miss. A miss must first be admitted — at most
+// Workers+QueueSize computations are admitted at once, and Drain waits for
+// every one — then waits, until the deadline or the client gives up, for
+// one of the Workers compute slots. The computation then runs to the end in
+// the caller's goroutine and lands in the cache. A hit takes no slot. The
+// returned result is shared — callers must not mutate it.
+func (s *Server) answer(ctx context.Context, u *unit, key string, compute func() (result, error)) (result, error) {
+	name := u.entry.Name
+	if res, ok := u.cache.Get(key); ok {
+		mCacheEvents.With(name, "hit").Inc()
+		return res, nil
+	}
+	if u.cache == nil {
+		mCacheEvents.With(name, "bypass").Inc()
+	} else {
+		mCacheEvents.With(name, "miss").Inc()
+	}
+	if err := s.admit(); err != nil {
+		return result{}, err
+	}
+	defer s.release()
+	ctx, cancel := context.WithTimeout(ctx, s.deadline)
+	defer cancel()
+	mQueueDepth.Add(1)
+	select {
+	case s.slots <- struct{}{}:
+		mQueueDepth.Add(-1)
+	case <-ctx.Done():
+		mQueueDepth.Add(-1)
+		if errors.Is(ctx.Err(), context.Canceled) {
+			mRejected.With("canceled").Inc()
+		} else {
+			mRejected.With("deadline").Inc()
+		}
+		return result{}, ctx.Err()
+	}
+	defer func() { <-s.slots }()
+	if s.testHookCompute != nil {
+		s.testHookCompute()
+	}
+	res, err := compute()
+	if err == nil {
+		u.cache.Put(key, res)
+	}
+	return res, err
+}
+
+// admit takes an admission token, honouring drain and backpressure. The
+// pending.Add happens under the read lock after the draining check, and
+// Drain takes the write lock before it waits, so no admission can race the
+// wait.
+func (s *Server) admit() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.draining {
 		return errDraining
 	}
-	s.pending.Add(1)
 	select {
-	case s.jobs <- j:
-		mQueueDepth.Add(1)
+	case s.admitted <- struct{}{}:
+		s.pending.Add(1)
 		return nil
 	default:
-		s.pending.Done()
 		return errBackpressure
 	}
 }
 
-// dispatch is the batcher loop: take one job, coalesce whatever else is
-// queued (bounded by MaxBatch, optionally waiting BatchWindow), and fan the
-// batch across the engine pool. Each job's computation is pure and carries
-// its own unit, so batch composition — even mixing models — and worker
-// count cannot influence any response.
-func (s *Server) dispatch() {
-	defer close(s.done)
-	for {
-		j, ok := <-s.jobs
-		if !ok {
-			return
-		}
-		mQueueDepth.Add(-1)
-		batch := []*job{j}
-		var window <-chan time.Time
-		if s.batchWindow > 0 {
-			window = time.After(s.batchWindow)
-		}
-	collect:
-		for len(batch) < s.maxBatch {
-			if window != nil {
-				select {
-				case j2, ok2 := <-s.jobs:
-					if !ok2 {
-						break collect
-					}
-					mQueueDepth.Add(-1)
-					batch = append(batch, j2)
-				case <-window:
-					break collect
-				}
-			} else {
-				select {
-				case j2, ok2 := <-s.jobs:
-					if !ok2 {
-						break collect
-					}
-					mQueueDepth.Add(-1)
-					batch = append(batch, j2)
-				default:
-					break collect
-				}
-			}
-		}
-		mBatchSize.Observe(float64(len(batch)))
-		// fn never returns an error: each job lands its own result (or
-		// failure) on its flight, so one bad job cannot abort a batch.
-		_, _ = engine.Map(context.Background(), s.slots, batch,
-			func(_ context.Context, _ struct{}, j *job) (struct{}, error) {
-				s.runJob(j)
-				return struct{}{}, nil
-			})
-	}
-}
-
-// runJob computes a job, populates its unit's cache shard, and lands the
-// flight.
-func (s *Server) runJob(j *job) {
-	if s.testHookCompute != nil {
-		s.testHookCompute()
-	}
-	res, err := j.compute()
-	if err == nil {
-		j.unit.cache.Put(j.key, res)
-	}
-	j.unit.flights.land(j.key, j.flight, res, err)
+// release returns an admission token taken by admit.
+func (s *Server) release() {
+	<-s.admitted
 	s.pending.Done()
 }
 
 // Drain flips the server into draining mode — /estimate and /sweep answer
-// 503, /readyz reports not-ready — and waits until every already-accepted
-// job has been answered, or ctx expires. Idempotent.
+// 503, /readyz reports not-ready — and waits until every admitted
+// computation has finished, or ctx expires. Idempotent.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -627,114 +579,12 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// Close drains completely and stops the dispatcher. Idempotent — repeat
-// calls (including concurrent ones, and calls racing an in-flight SIGTERM
-// Drain) block until the first finishes and then return. The server must
-// not accept new work after Close.
-//
-// Close first cancels the shard placement context: an in-flight remote
-// task stuck in its retry/backoff loop aborts immediately as "canceled"
-// (no further attempts fire — see the Guard cancellation contract), its
-// job falls back to the in-process computation, and the drain completes in
-// bounded time. Without that, a dead worker fleet could hold Close hostage
-// for the full retry budget of every pending job.
+// Close drains completely: Drain with no time limit. Idempotent — repeat
+// calls, concurrent ones, and calls racing an in-flight SIGTERM Drain all
+// return once every admitted computation has finished. The server refuses
+// new work after Close.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		s.cancelBase()
-		_ = s.Drain(context.Background())
-		close(s.jobs)
-		<-s.done
-	})
-}
-
-// answer resolves one validated request through the unit's cache shard,
-// singleflight group, and the shared batcher, honouring ctx for the
-// caller's wait. The returned result is shared — callers must not mutate
-// it.
-func (s *Server) answer(ctx context.Context, u *unit, key string, compute func() (result, error)) (result, error) {
-	name := u.entry.Name
-	if res, ok := u.cache.Get(key); ok {
-		mCacheEvents.With(name, "hit").Inc()
-		return res, nil
-	}
-	if u.cache == nil {
-		mCacheEvents.With(name, "bypass").Inc()
-	} else {
-		mCacheEvents.With(name, "miss").Inc()
-	}
-	f, leader := u.flights.join(key)
-	if leader {
-		if err := s.enqueue(&job{key: key, unit: u, compute: compute, flight: f}); err != nil {
-			u.flights.land(key, f, result{}, err)
-			return result{}, err
-		}
-	}
-	select {
-	case <-f.done:
-		return f.res, f.err
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.Canceled) {
-			mRejected.With("canceled").Inc()
-		} else {
-			mRejected.With("deadline").Inc()
-		}
-		return result{}, ctx.Err()
-	}
-}
-
-// computeEstimate is the pure estimate computation: the single-shot eval
-// path, marshalled once. req must be validated. With a shard fleet
-// configured the computation places remotely first, pinned to the unit's
-// model fingerprint; the bytes are the same either way, so placement is
-// invisible to callers.
-func (s *Server) computeEstimate(u *unit, req *EstimateRequest) (result, error) {
-	v, err := ParseVariant(req.Variant)
-	if err != nil {
-		return result{}, err
-	}
-	m := u.entry.Model(v)
-	if m == nil {
-		return result{}, fmt.Errorf("serve: variant %s not served", req.Variant)
-	}
-	if s.tasks != nil {
-		if reqBody, err := json.Marshal(req); err == nil {
-			if body, ok := s.remoteCompute(TaskEstimate, req.CacheKey(), reqBody, u.fps[v]); ok {
-				var resp EstimateResponse
-				if json.Unmarshal(body, &resp) == nil {
-					return result{body: body, powerW: resp.PowerW, breakdown: resp.Breakdown}, nil
-				}
-			}
-		}
-	}
-	if be := u.bes[v]; be != nil {
-		return estimateResultBatched(be, req)
-	}
-	return estimateResult(m, req)
-}
-
-func (s *Server) computeSweep(u *unit, req *SweepRequest) (result, error) {
-	v, err := ParseVariant(req.Variant)
-	if err != nil {
-		return result{}, err
-	}
-	m := u.entry.Model(v)
-	if m == nil {
-		return result{}, fmt.Errorf("serve: variant %s not served", req.Variant)
-	}
-	if s.tasks != nil {
-		if reqBody, err := json.Marshal(req); err == nil {
-			if body, ok := s.remoteCompute(TaskSweep, req.CacheKey(), reqBody, u.fps[v]); ok {
-				var resp SweepResponse
-				if json.Unmarshal(body, &resp) == nil {
-					return result{body: body}, nil
-				}
-			}
-		}
-	}
-	if be := u.bes[v]; be != nil {
-		return sweepResultBatched(be, req)
-	}
-	return sweepResult(m, req)
+	_ = s.Drain(context.Background())
 }
 
 // estimateResult evaluates one request against a model and marshals the
@@ -786,10 +636,11 @@ func sweepResult(m *core.Model, req *SweepRequest) (result, error) {
 }
 
 // EstimateOnce is the single-shot reference path: decode, validate, and
-// evaluate one estimate body against one model with no gateway, queue,
-// batcher, or cache in the way. The serving determinism suite asserts that
-// what the HTTP service returns under concurrency — for tuned and derived
-// entries alike — is bit-identical to these bytes.
+// evaluate one estimate body against one model on the scalar eval path,
+// with no gateway, admission, batch estimator, or cache in the way. The
+// serving determinism suite asserts that what the HTTP service returns
+// under concurrency — for tuned and derived entries alike — is
+// bit-identical to these bytes.
 func EstimateOnce(m *core.Model, body []byte) ([]byte, error) {
 	req, err := DecodeEstimateRequest(body)
 	if err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,6 +18,7 @@ import (
 	"accelwattch/internal/core"
 	"accelwattch/internal/obs"
 	"accelwattch/internal/tune"
+	"accelwattch/internal/zoo"
 )
 
 // testModel builds a hand-constructed, valid model — no tuning, so the
@@ -48,10 +50,20 @@ func testModels() map[tune.Variant]*core.Model {
 	return out
 }
 
+// testSet serves models as the single default entry.
+func testSet(tb testing.TB, models map[tune.Variant]*core.Model) *zoo.Set {
+	tb.Helper()
+	e, err := zoo.PerVariant("default", models, "config")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &zoo.Set{Default: e.Name, Entries: []*zoo.Entry{e}}
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Models == nil {
-		cfg.Models = testModels()
+	if cfg.Zoo == nil {
+		cfg.Zoo = testSet(t, testModels())
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -266,28 +278,6 @@ func TestLRUCache(t *testing.T) {
 	}
 }
 
-func TestFlightGroup(t *testing.T) {
-	g := newFlightGroup()
-	f1, leader1 := g.join("k")
-	if !leader1 {
-		t.Fatal("first joiner should lead")
-	}
-	f2, leader2 := g.join("k")
-	if leader2 || f1 != f2 {
-		t.Fatal("second joiner should follow the same flight")
-	}
-	go g.land("k", f1, result{powerW: 7}, nil)
-	<-f2.done
-	if f2.res.powerW != 7 {
-		t.Fatalf("follower saw powerW %g, want 7", f2.res.powerW)
-	}
-	// After landing, the key is free for a new flight.
-	_, leader3 := g.join("k")
-	if !leader3 {
-		t.Fatal("post-landing joiner should lead a fresh flight")
-	}
-}
-
 func TestEstimateMatchesSingleShot(t *testing.T) {
 	s, ts := newTestServer(t, Config{CacheSize: 64})
 	body := estBody(1)
@@ -408,7 +398,7 @@ func TestHTTPErrors(t *testing.T) {
 func TestVariantNotServed(t *testing.T) {
 	// Only SASS_SIM configured: the other variants answer 400.
 	_, ts := newTestServer(t, Config{
-		Models: map[tune.Variant]*core.Model{tune.SASSSIM: testModel()},
+		Zoo: testSet(t, map[tune.Variant]*core.Model{tune.SASSSIM: testModel()}),
 	})
 	code, _ := post(t, ts, "/estimate", []byte(`{"variant":"HW","cycles":1}`))
 	if code != http.StatusBadRequest {
@@ -426,17 +416,18 @@ func TestConfigRejects(t *testing.T) {
 	}
 	bad := testModel()
 	bad.RefSMs = 0
-	if _, err := New(Config{Models: map[tune.Variant]*core.Model{tune.HW: bad}}); err == nil {
+	e := &zoo.Entry{Name: "default", Arch: bad.Arch.Name}
+	e.Models[tune.HW] = bad
+	if _, err := New(Config{Zoo: &zoo.Set{Default: "default", Entries: []*zoo.Entry{e}}}); err == nil {
 		t.Fatal("New accepted an invalid model")
 	}
 }
 
-// gate instruments testHookCompute so tests can hold jobs in flight.
+// gate instruments testHookCompute so tests can hold compute slots.
 type gate struct {
 	entered chan struct{}
 	release chan struct{}
-	mu      sync.Mutex
-	count   int
+	once    sync.Once
 }
 
 func newGate() *gate {
@@ -444,94 +435,129 @@ func newGate() *gate {
 }
 
 func (g *gate) hook() {
-	g.mu.Lock()
-	g.count++
-	g.mu.Unlock()
 	g.entered <- struct{}{}
 	<-g.release
 }
 
-func (g *gate) computes() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.count
+// open releases every held and future computation. Idempotent.
+func (g *gate) open() { g.once.Do(func() { close(g.release) }) }
+
+// holdSlot starts a request on body and returns once its computation holds
+// a compute slot at the gate. The returned channel yields its status after
+// the gate opens. The gate also opens at cleanup, before the server shuts
+// down, so a failing test ends instead of hanging on the held request.
+func holdSlot(t *testing.T, ts *httptest.Server, g *gate, body []byte) <-chan int {
+	t.Helper()
+	t.Cleanup(g.open)
+	code := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/estimate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			code <- 0
+			return
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		code <- resp.StatusCode
+	}()
+	<-g.entered
+	return code
 }
 
 func TestBackpressure429(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 1, MaxBatch: 1})
+	// One compute slot plus one waiting place: the third concurrent miss
+	// is over the admission bound.
+	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 1})
 	g := newGate()
 	s.testHookCompute = g.hook
+	held := holdSlot(t, ts, g, estBody(10))
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		code, _ := post(t, ts, "/estimate", estBody(10))
-		if code != http.StatusOK {
-			t.Errorf("held request finished with %d, want 200", code)
-		}
-	}()
-	<-g.entered // job 10 is in the worker, holding it busy
-
-	var queued sync.WaitGroup
-	queued.Add(1)
-	go func() {
-		defer queued.Done()
-		code, _ := post(t, ts, "/estimate", estBody(11))
-		if code != http.StatusOK {
-			t.Errorf("queued request finished with %d, want 200", code)
-		}
-	}()
-	// Wait until job 11 occupies the single queue slot.
-	deadline := time.After(5 * time.Second)
-	for len(s.jobs) == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("second job never queued")
-		case <-time.After(time.Millisecond):
-		}
+	// Two more misses race for the single waiting place: one is admitted
+	// and waits for the held slot, the other is refused at once.
+	type answer struct {
+		code       int
+		retryAfter string
 	}
-
-	code, body := post(t, ts, "/estimate", estBody(12))
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429: %s", code, body)
+	answers := make(chan answer, 2)
+	for _, i := range []int{11, 12} {
+		go func() {
+			resp, err := http.Post(ts.URL+"/estimate", "application/json", bytes.NewReader(estBody(i)))
+			if err != nil {
+				t.Error(err)
+				answers <- answer{}
+				return
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			answers <- answer{resp.StatusCode, resp.Header.Get("Retry-After")}
+		}()
 	}
-	resp, err := http.Post(ts.URL+"/estimate", "application/json", bytes.NewReader(estBody(13)))
-	if err != nil {
-		t.Fatal(err)
+	refused := <-answers
+	if refused.code != http.StatusTooManyRequests {
+		t.Fatalf("first answer while the slot is held: %d, want 429", refused.code)
 	}
-	if resp.Header.Get("Retry-After") == "" {
+	if refused.retryAfter == "" {
 		t.Error("429 without Retry-After header")
 	}
-	resp.Body.Close()
 
-	close(g.release)
-	<-done
-	queued.Wait()
+	g.open()
+	if code := <-held; code != http.StatusOK {
+		t.Errorf("held request finished with %d, want 200", code)
+	}
+	if admitted := <-answers; admitted.code != http.StatusOK {
+		t.Errorf("admitted request finished with %d, want 200", admitted.code)
+	}
 }
 
 func TestDeadline504(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, Deadline: 20 * time.Millisecond})
 	g := newGate()
 	s.testHookCompute = g.hook
-	code, body := post(t, ts, "/estimate", estBody(20))
+	held := holdSlot(t, ts, g, estBody(20))
+
+	// The only slot stays held past the deadline of a request waiting for it.
+	code, body := post(t, ts, "/estimate", estBody(21))
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", code, body)
 	}
-	close(g.release)
-	<-g.entered
+	g.open()
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held request finished with %d, want 200", code)
+	}
+}
+
+func TestCancel499(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	g := newGate()
+	s.testHookCompute = g.hook
+	held := holdSlot(t, ts, g, estBody(25))
+	canceled := mRejected.With("canceled")
+	before := canceled.Value()
+
+	// A client that gives up while waiting for the held slot.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/estimate", bytes.NewReader(estBody(26))).WithContext(ctx)
+	s.Mux().ServeHTTP(rec, req)
+	if rec.Code != statusClientClosedRequest {
+		t.Fatalf("status %d, want 499: %s", rec.Code, rec.Body.Bytes())
+	}
+	if got := canceled.Value(); got != before+1 {
+		t.Fatalf(`aw_serve_rejected_total{reason="canceled"} = %v, want %v`, got, before+1)
+	}
+	g.open()
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held request finished with %d, want 200", code)
+	}
 }
 
 func TestDrain(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	g := newGate()
 	s.testHookCompute = g.hook
-
-	held := make(chan int, 1)
-	go func() {
-		code, _ := post(t, ts, "/estimate", estBody(30))
-		held <- code
-	}()
-	<-g.entered // accepted work is now in flight
+	held := holdSlot(t, ts, g, estBody(30)) // admitted work is now computing
 
 	drainStarted := make(chan struct{})
 	drained := make(chan error, 1)
@@ -568,9 +594,15 @@ func TestDrain(t *testing.T) {
 		t.Fatalf("/healthz %d during drain, want 200", resp.StatusCode)
 	}
 
-	// Releasing the held job completes the drain, and the accepted request
-	// is answered, not dropped.
-	close(g.release)
+	// Drain is still waiting for the held computation...
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned (%v) while an admitted computation was held", err)
+	default:
+	}
+	// ...and releasing it completes the drain; the admitted request is
+	// answered, not dropped.
+	g.open()
 	if err := <-drained; err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
@@ -579,47 +611,52 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-func TestSingleflight(t *testing.T) {
-	// Cache off, so deduplication can only come from the flight group.
-	s, ts := newTestServer(t, Config{Workers: 4, CacheSize: 0})
+// TestServeCloseIdempotentUnderRace is the shutdown regression: concurrent
+// Close calls racing a SIGTERM-style Drain while a computation holds a slot
+// must all return cleanly, the held request must be answered, and the
+// server must refuse new work afterwards.
+func TestServeCloseIdempotentUnderRace(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
 	g := newGate()
 	s.testHookCompute = g.hook
+	held := holdSlot(t, ts, g, estBody(1))
 
-	body := estBody(40)
-	const n = 16
-	results := make(chan []byte, n)
-	go func() {
-		_, b := post(t, ts, "/estimate", body)
-		results <- b
-	}()
-	<-g.entered // leader is computing; the flight is open
-
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
+	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, b := post(t, ts, "/estimate", body)
-			results <- b
+			<-start
+			s.Close()
 		}()
 	}
-	// Give the followers time to join the open flight, then land it.
-	time.Sleep(50 * time.Millisecond)
-	close(g.release)
-	wg.Wait()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		_ = s.Drain(context.Background())
+	}()
+	close(start)
+	time.Sleep(10 * time.Millisecond) // let the closers reach the drain wait
+	g.open()
 
-	var first []byte
-	for i := 0; i < n; i++ {
-		b := <-results
-		if first == nil {
-			first = b
-		} else if !bytes.Equal(first, b) {
-			t.Fatal("followers saw different bytes than the leader")
-		}
+	closed := make(chan struct{})
+	go func() { wg.Wait(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close/Drain race did not settle")
 	}
-	if c := g.computes(); c != 1 {
-		t.Fatalf("computed %d times for %d identical concurrent requests, want 1", c, n)
+	if code := <-held; code != http.StatusOK {
+		t.Errorf("held request finished with %d, want 200", code)
 	}
+
+	// The closed server refuses new work.
+	if code, _ := post(t, ts, "/estimate", estBody(2)); code != http.StatusServiceUnavailable {
+		t.Fatalf("post-Close estimate = %d, want 503", code)
+	}
+	s.Close() // still idempotent after the race
 }
 
 func TestLedgerEmission(t *testing.T) {
@@ -686,7 +723,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		"aw_serve_requests_total", "aw_serve_request_seconds",
 		"aw_serve_cache_events_total", "aw_serve_queue_depth",
-		"aw_serve_batch_size", "aw_serve_draining", "aw_serve_estimates_total",
+		"aw_serve_draining", "aw_serve_estimates_total",
 	} {
 		if !strings.Contains(exposition, want) {
 			t.Errorf("/metrics missing %s", want)
@@ -708,7 +745,7 @@ func TestIndex(t *testing.T) {
 }
 
 func TestCloseIdempotent(t *testing.T) {
-	s, err := New(Config{Models: testModels()})
+	s, err := New(Config{Zoo: testSet(t, testModels())})
 	if err != nil {
 		t.Fatal(err)
 	}
