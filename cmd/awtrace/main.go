@@ -57,14 +57,9 @@ func main() {
 	var kt *trace.KernelTrace
 	switch {
 	case *inPath != "":
-		data, err := os.ReadFile(*inPath)
-		if err != nil {
+		var err error
+		if kt, err = trace.ReadFile(*inPath); err != nil {
 			log.Fatal(err)
-		}
-		var derr error
-		kt, derr = trace.Decode(data)
-		if derr != nil {
-			log.Fatal(derr)
 		}
 	default:
 		src := exampleKernel
@@ -98,7 +93,8 @@ func main() {
 	fmt.Printf("average active lanes: %.2f; memory accesses: %d; global 128B lines: %d\n",
 		s.AvgLanes, s.MemAccesses, s.GlobalLines)
 
-	// Per-opcode census, descending.
+	// Per-opcode census, descending; ties in opcode order, so the output
+	// does not depend on map iteration.
 	type row struct {
 		op isa.Op
 		n  int64
@@ -107,7 +103,12 @@ func main() {
 	for op, n := range s.OpCounts {
 		rows = append(rows, row{op, n})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].n > rows[j].n })
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].n != rows[j].n {
+			return rows[i].n > rows[j].n
+		}
+		return rows[i].op < rows[j].op
+	})
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "opcode\tcount\tunit")
 	for _, r := range rows {
@@ -116,14 +117,20 @@ func main() {
 	w.Flush()
 
 	if *dump > 0 && len(kt.Warps) > 0 {
-		fmt.Printf("\nfirst %d records of warp (CTA %d, warp %d):\n", *dump, kt.Warps[0].CTA, kt.Warps[0].Warp)
-		for i, r := range kt.Warps[0].Recs {
+		wt := &kt.Warps[0]
+		fmt.Printf("\nfirst %d records of warp (CTA %d, warp %d):\n", *dump, wt.CTA, wt.Warp)
+		mi := 0
+		for i, r := range wt.Recs {
 			if i >= *dump {
 				break
 			}
-			fmt.Printf("  pc=%-3d %-10v mask=%08x", r.PC, r.Op, r.Mask)
-			if len(r.Addrs) > 0 {
-				fmt.Printf(" addr[0]=%#x x%d", r.Addrs[0], len(r.Addrs))
+			in := kt.Instr(r)
+			fmt.Printf("  pc=%-3d %-10v mask=%08x", r.PC, in.Op, r.Mask)
+			if in.Op.Info().IsMem {
+				if acc := kt.Access(wt.Mem[mi], r.Mask); acc.Len() > 0 {
+					fmt.Printf(" addr[0]=%#x x%d", acc.Lane(0), acc.Len())
+				}
+				mi++
 			}
 			fmt.Println()
 		}

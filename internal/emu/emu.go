@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"accelwattch/internal/isa"
 	"accelwattch/internal/trace"
@@ -13,6 +12,21 @@ import (
 // MaxDynInstrsPerWarp bounds runaway kernels; exceeding it is reported as
 // an error rather than hanging the caller.
 const MaxDynInstrsPerWarp = 4 << 20
+
+// The trace budget bounds one kernel launch's trace: its warp records and
+// the lane addresses it stores explicitly (affine accesses store none).
+// Both sit 4.6x above the largest Full-scale trace of the framework's
+// suites (3,645,440 records and 7,299,040 listed addresses; DESIGN §17),
+// so only a runaway launch reaches them.
+const (
+	MaxTraceRecords = 1 << 24
+	MaxTraceAddrs   = 1 << 25
+)
+
+// ErrTraceBudget marks a kernel whose trace would exceed MaxTraceRecords
+// records or MaxTraceAddrs explicit lane addresses. Run returns it wrapped;
+// match with errors.Is.
+var ErrTraceBudget = errors.New("emu: trace budget exceeded")
 
 // ErrUnhandledOpcode marks a kernel that reached an opcode the emulator has
 // no semantics for. It surfaces through Run as a wrapped error (match with
@@ -43,38 +57,73 @@ func Run(k *isa.Kernel, mem *Memory) (*trace.KernelTrace, error) {
 	if mem == nil {
 		mem = NewMemory()
 	}
-	kt := &trace.KernelTrace{Kernel: k}
-	nCTAs := k.Grid.Count()
+	// Every warp records at least one instruction, so a grid with more
+	// warps than the record budget fails before any of it runs.
+	nCTAs, nWarps := k.Grid.Count(), k.Warps()
+	if nCTAs > MaxTraceRecords/nWarps {
+		return nil, fmt.Errorf("%w: kernel %s launches %d CTAs of %d warps, more than %d records",
+			ErrTraceBudget, k.Name, nCTAs, nWarps, MaxTraceRecords)
+	}
+	l := &launch{k: k, mem: mem, shared: make(map[uint64]uint64)}
+	// One warp state per warp slot, reused by every CTA: only the
+	// registers the kernel names are cleared between CTAs, the others
+	// stay zero.
+	nRegs := usedRegs(k)
+	ws := make([]*warpState, nWarps)
+	for w := range ws {
+		ws[w] = &warpState{l: l, warp: w, nRegs: nRegs, launch: laneMask(k.Block.Count() - w*32)}
+	}
+	kt := &trace.KernelTrace{Kernel: k, Warps: make([]trace.WarpTrace, 0, nCTAs*nWarps)}
 	for cta := 0; cta < nCTAs; cta++ {
-		warps, err := runCTA(k, mem, cta)
-		if err != nil {
+		if err := l.runCTA(ws, cta); err != nil {
 			return nil, err
 		}
-		kt.Warps = append(kt.Warps, warps...)
+		for _, w := range ws {
+			kt.Warps = append(kt.Warps, w.collect(kt))
+		}
 	}
+	kt.Addrs = append(make([]uint64, 0, len(kt.Addrs)), kt.Addrs...)
 	return kt, nil
+}
+
+// launch is what the warps of one kernel launch share.
+type launch struct {
+	k       *isa.Kernel
+	mem     *Memory
+	shared  map[uint64]uint64 // the running CTA's shared memory
+	records int               // records traced so far
+	addrs   int               // explicit lane addresses traced so far
+}
+
+// laneMask returns the launch mask of a warp with n threads (clamped to 32).
+func laneMask(n int) uint32 {
+	if n >= 32 {
+		return ^uint32(0)
+	}
+	return 1<<uint(n) - 1
+}
+
+// usedRegs returns one past the highest register index the kernel names.
+func usedRegs(k *isa.Kernel) int {
+	n := 0
+	for i := range k.Code {
+		in := &k.Code[i]
+		for _, r := range [4]isa.Reg{in.Dst, in.Srcs[0], in.Srcs[1], in.Srcs[2]} {
+			n = max(n, int(r)+1)
+		}
+	}
+	return min(n, isa.NumRegs)
 }
 
 // runCTA executes one CTA's warps in barrier-synchronised phases: each warp
 // runs until it reaches a barrier or exits, then the next warp runs; rounds
 // repeat until every warp has exited. This gives barrier-correct shared-
 // memory semantics without interleaving at instruction granularity.
-func runCTA(k *isa.Kernel, mem *Memory, cta int) ([]trace.WarpTrace, error) {
-	nThreads := k.Block.Count()
-	nWarps := k.Warps()
-	shared := make(map[uint64]uint64)
-
-	ws := make([]*warpState, nWarps)
-	for w := 0; w < nWarps; w++ {
-		active := uint32(0)
-		for l := 0; l < 32; l++ {
-			if w*32+l < nThreads {
-				active |= 1 << uint(l)
-			}
-		}
-		ws[w] = newWarpState(k, mem, shared, cta, w, active)
+func (l *launch) runCTA(ws []*warpState, cta int) error {
+	clear(l.shared)
+	for _, w := range ws {
+		w.reset(cta)
 	}
-
 	for {
 		allDone := true
 		progressed := false
@@ -85,25 +134,19 @@ func runCTA(k *isa.Kernel, mem *Memory, cta int) ([]trace.WarpTrace, error) {
 			allDone = false
 			before := len(w.recs)
 			if err := w.runUntilBarrierOrExit(); err != nil {
-				return nil, err
+				return err
 			}
 			if len(w.recs) != before || w.done {
 				progressed = true
 			}
 		}
 		if allDone {
-			break
+			return nil
 		}
 		if !progressed {
-			return nil, fmt.Errorf("emu: kernel %s: CTA %d deadlocked at a barrier", k.Name, cta)
+			return fmt.Errorf("emu: kernel %s: CTA %d deadlocked at a barrier", l.k.Name, cta)
 		}
 	}
-
-	out := make([]trace.WarpTrace, nWarps)
-	for w := 0; w < nWarps; w++ {
-		out[w] = trace.WarpTrace{CTA: cta, Warp: w, Recs: ws[w].recs}
-	}
-	return out, nil
 }
 
 type stackEntry struct {
@@ -112,12 +155,13 @@ type stackEntry struct {
 	mask uint32
 }
 
+// warpState is one warp slot of a CTA. Run reuses it for the same warp
+// index of every CTA; reset returns it to a fresh warp's state.
 type warpState struct {
-	k      *isa.Kernel
-	mem    *Memory
-	shared map[uint64]uint64
-	cta    int
-	warp   int
+	l     *launch
+	cta   int
+	warp  int
+	nRegs int // registers the kernel names; reset clears only these
 
 	regs   [32][isa.NumRegs]uint64
 	preds  [32][isa.NumPreds]bool
@@ -125,23 +169,47 @@ type warpState struct {
 	exited uint32 // lanes that executed EXIT
 	launch uint32 // lanes that exist (partial final warp)
 	done   bool
+	steps  int
 
 	recs  []trace.Rec
-	steps int
+	mems  []trace.Mem // one per memory record
+	lanes []uint64    // listed records' addresses; their Mem.Base indexes this
+	addrs [32]uint64  // the current memory instruction's lane addresses
 }
 
-func newWarpState(k *isa.Kernel, mem *Memory, shared map[uint64]uint64, cta, warp int, active uint32) *warpState {
-	w := &warpState{
-		k: k, mem: mem, shared: shared, cta: cta, warp: warp,
-		launch: active,
-		stack:  []stackEntry{{pc: 0, rpc: -1, mask: active}},
+func (w *warpState) reset(cta int) {
+	for l := range w.regs {
+		clear(w.regs[l][:w.nRegs])
 	}
-	return w
+	w.preds = [32][isa.NumPreds]bool{}
+	w.stack = append(w.stack[:0], stackEntry{pc: 0, rpc: -1, mask: w.launch})
+	w.cta, w.exited, w.done, w.steps = cta, 0, false, 0
+	w.recs, w.mems, w.lanes = w.recs[:0], w.mems[:0], w.lanes[:0]
+}
+
+// collect copies the warp's records and address entries into exact-size
+// storage, moving its listed addresses into the trace's arena.
+func (w *warpState) collect(kt *trace.KernelTrace) trace.WarpTrace {
+	wt := trace.WarpTrace{CTA: w.cta, Warp: w.warp, Recs: make([]trace.Rec, len(w.recs))}
+	copy(wt.Recs, w.recs)
+	if len(w.mems) > 0 {
+		wt.Mem = make([]trace.Mem, len(w.mems))
+		off := uint64(len(kt.Addrs))
+		for i, m := range w.mems {
+			if m.Listed {
+				m.Base += off
+			}
+			wt.Mem[i] = m
+		}
+		kt.Addrs = append(kt.Addrs, w.lanes...)
+	}
+	return wt
 }
 
 // runUntilBarrierOrExit advances the warp until it consumes a BAR (returning
 // with the barrier recorded) or all lanes exit.
 func (w *warpState) runUntilBarrierOrExit() error {
+	k := w.l.k
 	for {
 		if len(w.stack) == 0 {
 			w.done = true
@@ -153,27 +221,31 @@ func (w *warpState) runUntilBarrierOrExit() error {
 			w.stack = w.stack[:len(w.stack)-1]
 			continue
 		}
-		if top.pc >= len(w.k.Code) {
-			return fmt.Errorf("emu: kernel %s: warp (%d,%d) ran off the end of the code", w.k.Name, w.cta, w.warp)
+		if top.pc >= len(k.Code) {
+			return fmt.Errorf("emu: kernel %s: warp (%d,%d) ran off the end of the code", k.Name, w.cta, w.warp)
 		}
 		w.steps++
 		if w.steps > MaxDynInstrsPerWarp {
 			return fmt.Errorf("emu: kernel %s: warp (%d,%d) exceeded %d dynamic instructions",
-				w.k.Name, w.cta, w.warp, MaxDynInstrsPerWarp)
+				k.Name, w.cta, w.warp, MaxDynInstrsPerWarp)
+		}
+		w.l.records++
+		if w.l.records > MaxTraceRecords || w.l.addrs > MaxTraceAddrs {
+			return fmt.Errorf("%w: kernel %s: more than %d records or %d explicit lane addresses",
+				ErrTraceBudget, k.Name, MaxTraceRecords, MaxTraceAddrs)
 		}
 
 		pc := top.pc
-		in := &w.k.Code[pc]
+		in := &k.Code[pc]
 		curMask := top.mask &^ w.exited
 		execMask := curMask & w.guardMask(in)
+		w.recs = append(w.recs, trace.Rec{PC: int32(pc), Mask: execMask})
 
 		switch in.Op {
 		case isa.OpBRA:
-			w.record(pc, in, execMask, nil)
 			w.branch(top, pc, in, curMask, execMask)
 			continue
 		case isa.OpEXIT:
-			w.record(pc, in, execMask, nil)
 			w.exited |= execMask
 			if w.exited == w.launch {
 				w.done = true
@@ -183,20 +255,17 @@ func (w *warpState) runUntilBarrierOrExit() error {
 			top.pc++
 			continue
 		case isa.OpBAR:
-			w.record(pc, in, execMask, nil)
 			top.pc++
 			return nil
 		}
 
-		var addrs []uint64
-		if in.Op.Info().IsMem && execMask != 0 {
-			addrs = w.execMem(in, execMask)
+		if in.Op.Info().IsMem {
+			w.recordMem(w.execMem(in, execMask))
 		} else if execMask != 0 {
 			if err := w.execALU(in, execMask); err != nil {
 				return err
 			}
 		}
-		w.record(pc, in, execMask, addrs)
 		top.pc++
 	}
 }
@@ -246,14 +315,16 @@ func (w *warpState) guardMask(in *isa.Instr) uint32 {
 	return m
 }
 
-func (w *warpState) record(pc int, in *isa.Instr, mask uint32, addrs []uint64) {
-	w.recs = append(w.recs, trace.Rec{
-		PC:    int32(pc),
-		Op:    in.Op,
-		Mask:  mask,
-		Space: in.Space,
-		Addrs: addrs,
-	})
+// recordMem stores a memory record's lane addresses: as base + stride when
+// they are affine, otherwise in the warp's explicit list.
+func (w *warpState) recordMem(addrs []uint64) {
+	if m, ok := trace.Affine(addrs); ok {
+		w.mems = append(w.mems, m)
+		return
+	}
+	w.mems = append(w.mems, trace.Mem{Base: uint64(len(w.lanes)), Listed: true})
+	w.lanes = append(w.lanes, addrs...)
+	w.l.addrs += len(addrs)
 }
 
 // semOp returns the opcode whose semantics to evaluate.
@@ -264,8 +335,11 @@ func semOp(in *isa.Instr) isa.Op {
 	return in.Op
 }
 
+// execMem performs a memory instruction for the lanes in mask and returns
+// their addresses in ascending lane order (in the warp's scratch buffer).
 func (w *warpState) execMem(in *isa.Instr, mask uint32) []uint64 {
-	addrs := make([]uint64, 0, bits.OnesCount32(mask))
+	k, mem := w.l.k, w.l.mem
+	addrs := w.addrs[:0]
 	for l := 0; l < 32; l++ {
 		if mask&(1<<uint(l)) == 0 {
 			continue
@@ -277,26 +351,26 @@ func (w *warpState) execMem(in *isa.Instr, mask uint32) []uint64 {
 		}
 		switch in.Op {
 		case isa.OpLDG:
-			w.regs[l][in.Dst] = w.mem.LoadGlobal(addr)
+			w.regs[l][in.Dst] = mem.LoadGlobal(addr)
 		case isa.OpSTG:
-			w.mem.StoreGlobal(addr, w.regs[l][in.Srcs[1]])
+			mem.StoreGlobal(addr, w.regs[l][in.Srcs[1]])
 		case isa.OpLDS:
-			w.regs[l][in.Dst] = w.shared[addr]
+			w.regs[l][in.Dst] = w.l.shared[addr]
 		case isa.OpSTS:
-			w.shared[addr] = w.regs[l][in.Srcs[1]]
+			w.l.shared[addr] = w.regs[l][in.Srcs[1]]
 		case isa.OpLDC:
 			idx := addr / 8
-			if idx < uint64(len(w.k.Params)) {
-				w.regs[l][in.Dst] = w.k.Params[idx]
+			if idx < uint64(len(k.Params)) {
+				w.regs[l][in.Dst] = k.Params[idx]
 			} else {
 				w.regs[l][in.Dst] = 0
 			}
 		case isa.OpTEX:
-			w.regs[l][in.Dst] = w.mem.LoadTexture(addr)
+			w.regs[l][in.Dst] = mem.LoadTexture(addr)
 		case isa.OpATOMG:
-			old := w.mem.LoadGlobal(addr)
+			old := mem.LoadGlobal(addr)
 			w.regs[l][in.Dst] = old
-			w.mem.StoreGlobal(addr, uint64(uint32(old)+uint32(w.regs[l][in.Srcs[1]])))
+			mem.StoreGlobal(addr, uint64(uint32(old)+uint32(w.regs[l][in.Srcs[1]])))
 		}
 	}
 	return addrs
@@ -416,7 +490,7 @@ func (w *warpState) execALU(in *isa.Instr, mask uint32) error {
 			r[in.Dst] = r[in.Srcs[0]] + src1()
 		default:
 			if info.Name != "" {
-				return &UnhandledOpcodeError{Kernel: w.k.Name, Op: op}
+				return &UnhandledOpcodeError{Kernel: w.l.k.Name, Op: op}
 			}
 		}
 	}
@@ -432,13 +506,13 @@ func (w *warpState) sreg(sr isa.SReg, lane int) uint64 {
 	case isa.SRegCTAIDX:
 		return uint64(w.cta)
 	case isa.SRegNTIDX:
-		return uint64(w.k.Block.Count())
+		return uint64(w.l.k.Block.Count())
 	case isa.SRegNCTAIDX:
-		return uint64(w.k.Grid.Count())
+		return uint64(w.l.k.Grid.Count())
 	case isa.SRegWarpID:
 		return uint64(w.warp)
 	case isa.SRegGridTID:
-		return uint64(w.cta*w.k.Block.Count() + w.warp*32 + lane)
+		return uint64(w.cta*w.l.k.Block.Count() + w.warp*32 + lane)
 	}
 	return 0
 }

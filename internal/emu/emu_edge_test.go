@@ -1,8 +1,11 @@
 package emu
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"accelwattch/internal/isa"
 )
@@ -158,5 +161,59 @@ func TestEmuRejectsInvalidKernel(t *testing.T) {
 	k := &isa.Kernel{Name: "bad", Level: isa.PTX, Grid: isa.Dim3{X: 1}, Block: isa.Dim3{X: 32}}
 	if _, err := Run(k, NewMemory()); err == nil {
 		t.Error("kernel without code accepted")
+	}
+}
+
+// A grid with more warps than the record budget is refused before any CTA
+// runs: every warp records at least one instruction.
+func TestHugeGridFailsFast(t *testing.T) {
+	k, err := isa.Assemble(".kernel huge\n.grid 100000000\n.block 32\n    EXIT\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = Run(k, nil)
+	if !errors.Is(err, ErrTraceBudget) {
+		t.Fatalf("huge grid: %v, want ErrTraceBudget", err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Errorf("refusing a huge grid took %v", el)
+	}
+}
+
+// A launch whose warps each stay within MaxDynInstrsPerWarp but together
+// exceed the trace budget stops at the budget: by records for a long loop,
+// by explicit lane addresses for a loop of scattered loads.
+func TestTraceBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a trace up to its budget")
+	}
+	loop := func(body string, iters int) *isa.Kernel {
+		k, err := isa.Assemble(fmt.Sprintf(`.kernel budget
+.block 256
+    S2R R1, laneid
+    IMUL R2, R1, R1
+    SHL R2, R2, 2
+    MOVI R3, %d
+loop:
+%s
+    IADD R3, R3, -1
+    ISETP.gt P0, R3, 0
+@P0 BRA loop
+    EXIT
+`, iters, body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	// 8 warps x 3 records x 1M iterations > MaxTraceRecords.
+	if _, err := Run(loop("", 1<<20), nil); !errors.Is(err, ErrTraceBudget) {
+		t.Errorf("long loop: %v, want ErrTraceBudget", err)
+	}
+	// 8 warps x 32 scattered addresses x 256K iterations > MaxTraceAddrs,
+	// in 8M records.
+	if _, err := Run(loop("    LDG R4, [R2]", 1<<18), nil); !errors.Is(err, ErrTraceBudget) {
+		t.Errorf("scattered loads: %v, want ErrTraceBudget", err)
 	}
 }

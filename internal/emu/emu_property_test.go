@@ -78,24 +78,27 @@ func TestQuickLoweredEquivalence(t *testing.T) {
 	}
 }
 
-// Property: every trace record's active mask is a subset of the launch mask
-// and memory records carry exactly one address per active lane.
+// Property: every trace validates — one address entry per memory record,
+// listed addresses tiling the arena one per active lane — and every
+// memory record's addresses are one per active lane.
 func TestQuickTraceInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		k := randomStraightKernel(r)
 		kt, err := Run(k, NewMemory())
-		if err != nil {
+		if err != nil || kt.Validate() != nil {
 			return false
 		}
 		for _, w := range kt.Warps {
+			mi := 0
 			for _, rec := range w.Recs {
-				if rec.Op.Info().IsMem && len(rec.Addrs) != rec.ActiveLanes() {
+				if !kt.Instr(rec).Op.Info().IsMem {
+					continue
+				}
+				if kt.Access(w.Mem[mi], rec.Mask).Len() != rec.ActiveLanes() {
 					return false
 				}
-				if !rec.Op.Info().IsMem && rec.Addrs != nil {
-					return false
-				}
+				mi++
 			}
 		}
 		return true

@@ -311,17 +311,19 @@ func TestTraceMasksAndAddrs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var found bool
-	for _, r := range kt.Warps[0].Recs {
-		if r.Op == isa.OpLDG {
+	w := &kt.Warps[0]
+	for _, r := range w.Recs {
+		if kt.Instr(r).Op == isa.OpLDG {
 			found = true
 			if r.ActiveLanes() != 8 {
 				t.Errorf("LDG mask has %d lanes, want 8", r.ActiveLanes())
 			}
-			if len(r.Addrs) != 8 {
-				t.Errorf("LDG recorded %d addresses, want 8", len(r.Addrs))
+			acc := kt.Access(w.Mem[0], r.Mask)
+			if acc.Len() != 8 {
+				t.Errorf("LDG recorded %d addresses, want 8", acc.Len())
 			}
-			for i, a := range r.Addrs {
-				if a != uint64(i*4) {
+			for i := 0; i < acc.Len(); i++ {
+				if a := acc.Lane(i); a != uint64(i*4) {
 					t.Errorf("lane %d address %#x, want %#x", i, a, i*4)
 				}
 			}
@@ -367,7 +369,7 @@ func TestNanosleepTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kt.Warps[0].Recs[0].Op != isa.OpNANOSLEEP {
+	if kt.Instr(kt.Warps[0].Recs[0]).Op != isa.OpNANOSLEEP {
 		t.Error("nanosleep missing from trace")
 	}
 }

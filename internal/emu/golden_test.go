@@ -131,11 +131,17 @@ func digestTrace(h hash.Hash, kt *trace.KernelTrace) {
 		word(uint64(w.CTA))
 		word(uint64(w.Warp))
 		word(uint64(len(w.Recs)))
+		mi := 0
 		for _, r := range w.Recs {
 			word(uint64(r.PC))
 			word(uint64(r.Mask))
-			for _, a := range r.Addrs {
-				word(a)
+			if !kt.Instr(r).Op.Info().IsMem {
+				continue
+			}
+			acc := kt.Access(w.Mem[mi], r.Mask)
+			mi++
+			for i := 0; i < acc.Len(); i++ {
+				word(acc.Lane(i))
 			}
 		}
 	}

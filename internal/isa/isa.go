@@ -224,9 +224,14 @@ func (k *Kernel) Clone() *Kernel {
 	return &nk
 }
 
+// MaxSleepCycles bounds a NANOSLEEP's duration. The timing models turn
+// each sleep into cycles and 500-cycle power windows, so an unbounded one
+// would size a replay's window slice.
+const MaxSleepCycles = 1 << 20
+
 // Validate checks structural invariants: register and predicate indices in
-// range, branch targets inside the code, a terminating EXIT, and that the
-// ISA level of every opcode matches the kernel's level.
+// range, branch targets inside the code, bounded sleeps, a terminating
+// EXIT, and that the ISA level of every opcode matches the kernel's level.
 func (k *Kernel) Validate() error {
 	if k.Name == "" {
 		return fmt.Errorf("isa: kernel has no name")
@@ -255,6 +260,9 @@ func (k *Kernel) Validate() error {
 		if info.WritesPred && in.Dst >= NumPreds {
 			return fmt.Errorf("isa: kernel %s: pc %d: predicate destination P%d out of range", k.Name, pc, in.Dst)
 		}
+		if int(in.NSrc) > len(in.Srcs) {
+			return fmt.Errorf("isa: kernel %s: pc %d: %d source operands, at most %d", k.Name, pc, in.NSrc, len(in.Srcs))
+		}
 		for i := 0; i < int(in.NSrc); i++ {
 			if int(in.Srcs[i]) >= NumRegs {
 				return fmt.Errorf("isa: kernel %s: pc %d: source register R%d out of range", k.Name, pc, in.Srcs[i])
@@ -267,6 +275,9 @@ func (k *Kernel) Validate() error {
 			if in.Target < 0 || in.Target >= len(k.Code) {
 				return fmt.Errorf("isa: kernel %s: pc %d: branch target %d out of range", k.Name, pc, in.Target)
 			}
+		}
+		if in.Op == OpNANOSLEEP && (in.Imm < 0 || in.Imm > MaxSleepCycles) {
+			return fmt.Errorf("isa: kernel %s: pc %d: NANOSLEEP %d outside [0, %d] cycles", k.Name, pc, in.Imm, MaxSleepCycles)
 		}
 		if in.Op == OpEXIT {
 			sawExit = true

@@ -105,10 +105,11 @@ func (d *Device) replay(kts []*trace.KernelTrace) (*replayAcct, error) {
 
 			var wb [isa.NumRegs]float64
 			tIssue := -1.0
-			for ri := range wt.Recs {
-				r := &wt.Recs[ri]
+			mi := 0
+			for _, r := range wt.Recs {
 				in := &code[r.PC]
-				info := in.Op.Info()
+				op := in.Op
+				info := op.Info()
 				lanes := bits.OnesCount32(r.Mask)
 				st.laneSum += float64(lanes)
 				st.issued++
@@ -122,12 +123,17 @@ func (d *Device) replay(kts []*trace.KernelTrace) (*replayAcct, error) {
 				}
 
 				// Resolve latency and energy.
-				lat := t.lat[r.Op]
+				lat := t.lat[op]
+				var acc trace.Access
+				if info.IsMem {
+					acc = kt.Access(wt.Mem[mi], r.Mask)
+					mi++
+				}
 				switch {
-				case r.Op == isa.OpNANOSLEEP:
+				case op == isa.OpNANOSLEEP:
 					lat = float64(in.Imm) * latScale
 				case info.IsMem && lanes > 0:
-					lat = d.memAccess(a, st, r, l1For(sm), l2, rowState, &dramBytes, latScale)
+					lat = d.memAccess(a, st, in, acc, l1For(sm), l2, rowState, &dramBytes, latScale)
 				}
 
 				if info.WritesReg && !in.SemNop {
@@ -149,7 +155,7 @@ func (d *Device) replay(kts []*trace.KernelTrace) (*replayAcct, error) {
 				if info.WritesReg {
 					rfOperands++
 				}
-				a.dynEnergyPJ += t.opEnergyPJ[r.Op]*ops +
+				a.dynEnergyPJ += t.opEnergyPJ[op]*ops +
 					t.regFilePJ*rfOperands*ops +
 					t.ibufPJ + t.schedPJ + t.pipePJ +
 					t.l1iPJ*t.l1iPerInstr
@@ -247,13 +253,14 @@ func (d *Device) replay(kts []*trace.KernelTrace) (*replayAcct, error) {
 
 // memAccess resolves one warp-level memory instruction through the memory
 // hierarchy, charging energy and returning the exposed latency in cycles.
-func (d *Device) memAccess(a *replayAcct, st *smState, r *trace.Rec,
+func (d *Device) memAccess(a *replayAcct, st *smState, in *isa.Instr, acc trace.Access,
 	l1, l2 *cachesim.Cache, rowState []uint64, dramBytes *float64, latScale float64) float64 {
 
 	t := d.t
-	switch r.Space {
+	var buf [32]uint64
+	switch in.Space {
 	case isa.SpaceShared:
-		passes := float64(trace.BankConflicts(r.Addrs, 32))
+		passes := float64(acc.BankConflicts())
 		if passes < 1 {
 			passes = 1
 		}
@@ -267,16 +274,16 @@ func (d *Device) memAccess(a *replayAcct, st *smState, r *trace.Rec,
 		return t.latConst
 
 	case isa.SpaceTexture:
-		n := float64(trace.UniqueLines(r.Addrs, 32))
+		n := float64(len(acc.Blocks(&buf, 32)))
 		a.dynEnergyPJ += t.texPJ * n
 		a.counters.TexAccesses += uint64(n)
 		return t.latTex
 
 	case isa.SpaceGlobal:
-		write := r.Op == isa.OpSTG
-		atomic := r.Op == isa.OpATOMG
+		write := in.Op == isa.OpSTG
+		atomic := in.Op == isa.OpATOMG
 		maxLat := 0.0
-		for _, sector := range uniqueSectors(r.Addrs) {
+		for _, sector := range acc.Blocks(&buf, 32) {
 			st.l1Trans++
 			var lat float64
 			switch {
@@ -322,7 +329,7 @@ func (d *Device) memAccess(a *replayAcct, st *smState, r *trace.Rec,
 			}
 			if write {
 				// Stores do not stall the warp.
-				lat = t.lat[r.Op]
+				lat = t.lat[in.Op]
 			}
 			if lat > maxLat {
 				maxLat = lat
@@ -330,7 +337,7 @@ func (d *Device) memAccess(a *replayAcct, st *smState, r *trace.Rec,
 		}
 		return maxLat
 	}
-	return t.lat[r.Op]
+	return t.lat[in.Op]
 }
 
 // dramAccess charges DRAM access energy with a per-channel open-row model.
@@ -348,22 +355,6 @@ func (d *Device) dramAccess(a *replayAcct, sector uint64, rowState []uint64, dra
 		a.dynEnergyPJ += t.dramRdPJ + t.memCtrlPJ
 	}
 	*dramBytes += 32
-}
-
-// uniqueSectors returns the distinct 32-byte sector base addresses covered
-// by the warp's lane addresses, in first-touch order.
-func uniqueSectors(addrs []uint64) []uint64 {
-	out := make([]uint64, 0, 4)
-	seen := make(map[uint64]struct{}, 4)
-	for _, a := range addrs {
-		s := a &^ 31
-		if _, ok := seen[s]; ok {
-			continue
-		}
-		seen[s] = struct{}{}
-		out = append(out, s)
-	}
-	return out
 }
 
 // passes returns the functional-unit occupancy (in issue slots) of one warp

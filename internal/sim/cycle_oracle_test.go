@@ -29,14 +29,14 @@ func (p SchedPolicy) String() string {
 	return "lrr"
 }
 
-// RunCycleAccurate replays a trace with an explicit per-cycle loop — warp
+// runCycleAccurate replays a trace with an explicit per-cycle loop — warp
 // schedulers, functional-unit pipelines with half-warp occupancy, a
 // register scoreboard, and DRAM bandwidth arbitration — instead of the
-// interval analysis used by Run. It is an order of magnitude slower and
-// exists to cross-validate the interval model (and to study scheduler
-// policies); activity counts are identical by construction, so only the
-// cycle count differs.
-func (s *Simulator) RunCycleAccurate(policy SchedPolicy, kts ...*trace.KernelTrace) (*Result, error) {
+// interval analysis used by Run. It is an order of magnitude slower and is
+// the tests' oracle for the interval model (and for scheduler policies);
+// activity counts are identical by construction, so only the cycle count
+// differs.
+func (s *Simulator) runCycleAccurate(policy SchedPolicy, kts ...*trace.KernelTrace) (*Result, error) {
 	if len(kts) == 0 {
 		return nil, fmt.Errorf("sim: no traces to run")
 	}
@@ -55,7 +55,8 @@ func (s *Simulator) RunCycleAccurate(policy SchedPolicy, kts ...*trace.KernelTra
 	type warpState struct {
 		kt     *trace.KernelTrace
 		wi     int
-		cursor int
+		cursor int                // next record
+		mem    int                // next memory record's address entry
 		wb     [isa.NumRegs]int64 // register-ready cycles
 	}
 	type smState struct {
@@ -147,9 +148,11 @@ func (s *Simulator) RunCycleAccurate(policy SchedPolicy, kts ...*trace.KernelTra
 					if w.cursor >= len(w.kt.Warps[w.wi].Recs) {
 						continue
 					}
-					r := &w.kt.Warps[w.wi].Recs[w.cursor]
-					in := &w.kt.Kernel.Code[r.PC]
-					info := in.Op.Info()
+					wt := &w.kt.Warps[w.wi]
+					r := wt.Recs[w.cursor]
+					in := w.kt.Instr(r)
+					op := in.Op
+					info := op.Info()
 					// Structural hazard: unit busy.
 					if st.fuBusy[sched][info.Unit] > cycle {
 						continue
@@ -168,13 +171,18 @@ func (s *Simulator) RunCycleAccurate(policy SchedPolicy, kts ...*trace.KernelTra
 
 					// Issue.
 					lanes := bits.OnesCount32(r.Mask)
+					var acc trace.Access
+					if info.IsMem {
+						acc = w.kt.Access(wt.Mem[w.mem], r.Mask)
+						w.mem++
+					}
 					var lat float64
 					switch {
-					case r.Op == isa.OpNANOSLEEP:
+					case op == isa.OpNANOSLEEP:
 						lat = float64(in.Imm)
 					case info.IsMem && lanes > 0:
 						st2 := &smAcct{}
-						lat = s.memAccess(act, act, st2, r, l1For(smIdx), l2, &dramBytes, secBytes)
+						lat = s.memAccess(act, act, st2, in, acc, l1For(smIdx), l2, &dramBytes, secBytes)
 						// DRAM arbitration: pushes the latency out
 						// when the channel is saturated.
 						if bytesNow := dramBytes; bytesNow > 0 {
@@ -187,14 +195,14 @@ func (s *Simulator) RunCycleAccurate(policy SchedPolicy, kts ...*trace.KernelTra
 							}
 						}
 					default:
-						lat = s.lat[r.Op]
+						lat = s.lat[op]
 						// Count compute/front-end activity (memAccess
 						// covers memory recs' component counts; all
 						// recs get the front-end charge below).
 					}
 					if !info.IsMem {
 						fl := float64(lanes)
-						act.Counts[core.OpComponent(r.Op)] += fl
+						act.Counts[core.OpComponent(op)] += fl
 					}
 					fl := float64(lanes)
 					rfOperands := float64(in.NSrc)
@@ -206,7 +214,7 @@ func (s *Simulator) RunCycleAccurate(policy SchedPolicy, kts ...*trace.KernelTra
 					act.Counts[core.CompICACHE] += core.ICacheFetchFraction
 					act.Counts[core.CompSCHED]++
 					act.Counts[core.CompPIPE]++
-					res.OpCounts[r.Op]++
+					res.OpCounts[op]++
 					res.WarpInstrs++
 					laneSum += fl
 
@@ -215,7 +223,7 @@ func (s *Simulator) RunCycleAccurate(policy SchedPolicy, kts ...*trace.KernelTra
 					}
 					st.fuBusy[sched][info.Unit] = cycle + int64(unitPasses(r.Mask, info.Unit))
 					w.cursor++
-					if w.cursor >= len(w.kt.Warps[w.wi].Recs) {
+					if w.cursor >= len(wt.Recs) {
 						st.pending--
 						remaining--
 					}

@@ -22,7 +22,7 @@ func TestCycleAccurateMatchesInterval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cyc, err := s.RunCycleAccurate(GTO, kt)
+		cyc, err := s.runCycleAccurate(GTO, kt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,11 +51,11 @@ func TestCycleAccurateHalfWarpThroughput(t *testing.T) {
 	s := mustNew(t, arch)
 	b16 := ubench.DivergenceBench(arch, cycleScale, core.MixIntMul, 16)
 	b32 := ubench.DivergenceBench(arch, cycleScale, core.MixIntMul, 32)
-	r16, err := s.RunCycleAccurate(GTO, traceOf(t, b16, isa.SASS))
+	r16, err := s.runCycleAccurate(GTO, traceOf(t, b16, isa.SASS))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r32, err := s.RunCycleAccurate(GTO, traceOf(t, b32, isa.SASS))
+	r32, err := s.runCycleAccurate(GTO, traceOf(t, b32, isa.SASS))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestSchedulerPoliciesDiffer(t *testing.T) {
 		}
 	}
 	kt := traceOf(t, bench, isa.SASS)
-	gto, err := s.RunCycleAccurate(GTO, kt)
+	gto, err := s.runCycleAccurate(GTO, kt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lrr, err := s.RunCycleAccurate(LRR, kt)
+	lrr, err := s.runCycleAccurate(LRR, kt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +97,13 @@ func TestSchedulerPoliciesDiffer(t *testing.T) {
 
 func TestCycleAccurateRejectsBadInput(t *testing.T) {
 	s := mustNew(t, config.Volta())
-	if _, err := s.RunCycleAccurate(GTO); err == nil {
+	if _, err := s.runCycleAccurate(GTO); err == nil {
 		t.Error("empty run accepted")
 	}
 	b := ubench.DivergenceBench(config.Volta(), cycleScale, core.MixIntAdd, 32)
 	kp := traceOf(t, b, isa.PTX)
 	ks := traceOf(t, b, isa.SASS)
-	if _, err := s.RunCycleAccurate(GTO, kp, ks); err == nil {
+	if _, err := s.runCycleAccurate(GTO, kp, ks); err == nil {
 		t.Error("mixed levels accepted")
 	}
 }
@@ -113,11 +113,11 @@ func TestCycleAccurateDeterminism(t *testing.T) {
 	s := mustNew(t, arch)
 	b := ubench.DivergenceBench(arch, cycleScale, core.MixIntFP, 32)
 	kt := traceOf(t, b, isa.SASS)
-	r1, err := s.RunCycleAccurate(GTO, kt)
+	r1, err := s.runCycleAccurate(GTO, kt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.RunCycleAccurate(GTO, kt)
+	r2, err := s.runCycleAccurate(GTO, kt)
 	if err != nil {
 		t.Fatal(err)
 	}

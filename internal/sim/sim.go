@@ -211,10 +211,11 @@ func (s *Simulator) Run(kts ...*trace.KernelTrace) (*Result, error) {
 
 			var wb [isa.NumRegs]float64
 			tIssue := -1.0
-			for ri := range wt.Recs {
-				r := &wt.Recs[ri]
+			mi := 0
+			for _, r := range wt.Recs {
 				in := &code[r.PC]
-				info := in.Op.Info()
+				op := in.Op
+				info := op.Info()
 				lanes := bits.OnesCount32(r.Mask)
 				st.laneMask |= r.Mask
 
@@ -224,12 +225,17 @@ func (s *Simulator) Run(kts ...*trace.KernelTrace) (*Result, error) {
 						start = w
 					}
 				}
-				lat := s.lat[r.Op]
+				lat := s.lat[op]
+				var acc trace.Access
+				if info.IsMem {
+					acc = kt.Access(wt.Mem[mi], r.Mask)
+					mi++
+				}
 				switch {
-				case r.Op == isa.OpNANOSLEEP:
+				case op == isa.OpNANOSLEEP:
 					lat = float64(in.Imm)
 				case info.IsMem && lanes > 0:
-					lat = s.memAccess(act, &winFor(start).act, st, r, l1For(sm), l2, &dramBytes, secBytes)
+					lat = s.memAccess(act, &winFor(start).act, st, in, acc, l1For(sm), l2, &dramBytes, secBytes)
 				}
 				if info.WritesReg && !in.SemNop {
 					wb[in.Dst] = start + lat
@@ -248,7 +254,7 @@ func (s *Simulator) Run(kts ...*trace.KernelTrace) (*Result, error) {
 					rfOperands++
 				}
 				for _, dst := range [2]*core.Activity{act, &winFor(start).act} {
-					dst.Counts[core.OpComponent(r.Op)] += fl
+					dst.Counts[core.OpComponent(op)] += fl
 					dst.Counts[core.CompRF] += rfOperands * fl
 					dst.Counts[core.CompIBUF]++
 					dst.Counts[core.CompICACHE] += core.ICacheFetchFraction
@@ -256,11 +262,11 @@ func (s *Simulator) Run(kts ...*trace.KernelTrace) (*Result, error) {
 					dst.Counts[core.CompPIPE]++
 				}
 				wa := winFor(start)
-				wa.ops[r.Op]++
+				wa.ops[op]++
 				wa.laneSum += fl
 				wa.instrs++
 
-				res.OpCounts[r.Op]++
+				res.OpCounts[op]++
 				res.WarpInstrs++
 				laneSum += fl
 			}
@@ -394,7 +400,7 @@ func resampleWindows(src []core.Activity, cycles float64, agg *core.Activity) []
 
 // memAccess resolves one memory instruction through the simulator's own
 // hierarchy, updating activity counts and returning the exposed latency.
-func (s *Simulator) memAccess(act, wact *core.Activity, st *smAcct, r *trace.Rec,
+func (s *Simulator) memAccess(act, wact *core.Activity, st *smAcct, in *isa.Instr, acc trace.Access,
 	l1, l2 *cachesim.Cache, dramBytes *float64, secBytes uint64) float64 {
 
 	addCount := func(c core.Component, n float64) {
@@ -402,9 +408,10 @@ func (s *Simulator) memAccess(act, wact *core.Activity, st *smAcct, r *trace.Rec
 		wact.Counts[c] += n
 	}
 
-	switch r.Space {
+	var buf [32]uint64
+	switch in.Space {
 	case isa.SpaceShared:
-		p := float64(trace.BankConflicts(r.Addrs, 32))
+		p := float64(acc.BankConflicts())
 		if p < 1 {
 			p = 1
 		}
@@ -416,14 +423,14 @@ func (s *Simulator) memAccess(act, wact *core.Activity, st *smAcct, r *trace.Rec
 		return simLatConst
 
 	case isa.SpaceTexture:
-		addCount(core.CompTEX, float64(trace.UniqueLines(r.Addrs, 32)))
+		addCount(core.CompTEX, float64(len(acc.Blocks(&buf, 32))))
 		return simLatTex
 
 	case isa.SpaceGlobal:
-		write := r.Op == isa.OpSTG
-		atomic := r.Op == isa.OpATOMG
+		write := in.Op == isa.OpSTG
+		atomic := in.Op == isa.OpATOMG
 		maxLat := 0.0
-		for _, sector := range uniqueSectors(r.Addrs, secBytes) {
+		for _, sector := range acc.Blocks(&buf, secBytes) {
 			st.l1Trans++
 			addCount(core.CompL1D, 1)
 			var lat float64
@@ -460,7 +467,7 @@ func (s *Simulator) memAccess(act, wact *core.Activity, st *smAcct, r *trace.Rec
 				}
 			}
 			if write {
-				lat = s.lat[r.Op]
+				lat = s.lat[in.Op]
 			}
 			if lat > maxLat {
 				maxLat = lat
@@ -468,21 +475,7 @@ func (s *Simulator) memAccess(act, wact *core.Activity, st *smAcct, r *trace.Rec
 		}
 		return maxLat
 	}
-	return s.lat[r.Op]
-}
-
-func uniqueSectors(addrs []uint64, secBytes uint64) []uint64 {
-	out := make([]uint64, 0, 4)
-	seen := make(map[uint64]struct{}, 4)
-	for _, a := range addrs {
-		sec := a &^ (secBytes - 1)
-		if _, ok := seen[sec]; ok {
-			continue
-		}
-		seen[sec] = struct{}{}
-		out = append(out, sec)
-	}
-	return out
+	return s.lat[in.Op]
 }
 
 // unitPasses mirrors the half-warp issue structure (Section 4.4): 16-lane

@@ -71,7 +71,7 @@ func TestActivityMatchesTraceCounts(t *testing.T) {
 	var imulLanes float64
 	for wi := range kt.Warps {
 		for _, rec := range kt.Warps[wi].Recs {
-			if core.OpComponent(rec.Op) == core.CompINTMUL {
+			if core.OpComponent(kt.Instr(rec).Op) == core.CompINTMUL {
 				imulLanes += float64(rec.ActiveLanes())
 			}
 		}

@@ -80,14 +80,14 @@ func (tb *Testbench) hwActivity(w Workload, v Variant) (core.Activity, error) {
 	opCounts := make(map[isa.Op]int64)
 	var warpInstrs, laneSum int64
 	for wi := range kt.Warps {
-		for ri := range kt.Warps[wi].Recs {
-			r := &kt.Warps[wi].Recs[ri]
+		for _, r := range kt.Warps[wi].Recs {
+			op := kt.Instr(r).Op
 			lanes := int64(r.ActiveLanes())
-			a.Counts[core.OpComponent(r.Op)] += float64(lanes)
+			a.Counts[core.OpComponent(op)] += float64(lanes)
 			a.Counts[core.CompIBUF]++
 			a.Counts[core.CompSCHED]++
 			a.Counts[core.CompPIPE]++
-			opCounts[r.Op]++
+			opCounts[op]++
 			warpInstrs++
 			laneSum += lanes
 		}
