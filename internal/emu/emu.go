@@ -64,7 +64,7 @@ func Run(k *isa.Kernel, mem *Memory) (*trace.KernelTrace, error) {
 		return nil, fmt.Errorf("%w: kernel %s launches %d CTAs of %d warps, more than %d records",
 			ErrTraceBudget, k.Name, nCTAs, nWarps, MaxTraceRecords)
 	}
-	l := &launch{k: k, mem: mem, shared: make(map[uint64]uint64)}
+	l := &kernelRun{k: k, mem: mem, shared: make(map[uint64]uint64)}
 	// One warp state per warp slot, reused by every CTA: only the
 	// registers the kernel names are cleared between CTAs, the others
 	// stay zero.
@@ -86,8 +86,8 @@ func Run(k *isa.Kernel, mem *Memory) (*trace.KernelTrace, error) {
 	return kt, nil
 }
 
-// launch is what the warps of one kernel launch share.
-type launch struct {
+// kernelRun is what the warps of one kernel launch share.
+type kernelRun struct {
 	k       *isa.Kernel
 	mem     *Memory
 	shared  map[uint64]uint64 // the running CTA's shared memory
@@ -119,7 +119,7 @@ func usedRegs(k *isa.Kernel) int {
 // runs until it reaches a barrier or exits, then the next warp runs; rounds
 // repeat until every warp has exited. This gives barrier-correct shared-
 // memory semantics without interleaving at instruction granularity.
-func (l *launch) runCTA(ws []*warpState, cta int) error {
+func (l *kernelRun) runCTA(ws []*warpState, cta int) error {
 	clear(l.shared)
 	for _, w := range ws {
 		w.reset(cta)
@@ -158,7 +158,7 @@ type stackEntry struct {
 // warpState is one warp slot of a CTA. Run reuses it for the same warp
 // index of every CTA; reset returns it to a fresh warp's state.
 type warpState struct {
-	l     *launch
+	l     *kernelRun
 	cta   int
 	warp  int
 	nRegs int // registers the kernel names; reset clears only these

@@ -140,16 +140,16 @@ next:
 	return out
 }
 
-// SharedBanks is the number of 4-byte-interleaved shared-memory banks.
-const SharedBanks = 32
+// sharedBanks is the number of 4-byte-interleaved shared-memory banks.
+const sharedBanks = 32
 
 // BankConflicts returns the largest number of lane addresses that map to
 // one shared-memory bank (1 means conflict-free, 0 means no lanes).
 func (a Access) BankConflicts() int {
-	var counts [SharedBanks]uint8
+	var counts [sharedBanks]uint8
 	max := uint8(0)
 	for i := 0; i < a.n; i++ {
-		b := (a.Lane(i) / 4) % SharedBanks
+		b := (a.Lane(i) / 4) % sharedBanks
 		counts[b]++
 		if counts[b] > max {
 			max = counts[b]
