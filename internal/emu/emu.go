@@ -65,13 +65,10 @@ func Run(k *isa.Kernel, mem *Memory) (*trace.KernelTrace, error) {
 			ErrTraceBudget, k.Name, nCTAs, nWarps, MaxTraceRecords)
 	}
 	l := &kernelRun{k: k, mem: mem, shared: make(map[uint64]uint64)}
-	// One warp state per warp slot, reused by every CTA: only the
-	// registers the kernel names are cleared between CTAs, the others
-	// stay zero.
-	nRegs := usedRegs(k)
+	// One warp state per warp slot, reused by every CTA.
 	ws := make([]*warpState, nWarps)
 	for w := range ws {
-		ws[w] = &warpState{l: l, warp: w, nRegs: nRegs, launch: laneMask(k.Block.Count() - w*32)}
+		ws[w] = &warpState{l: l, warp: w, launch: laneMask(k.Block.Count() - w*32)}
 	}
 	kt := &trace.KernelTrace{Kernel: k, Warps: make([]trace.WarpTrace, 0, nCTAs*nWarps)}
 	for cta := 0; cta < nCTAs; cta++ {
@@ -101,18 +98,6 @@ func laneMask(n int) uint32 {
 		return ^uint32(0)
 	}
 	return 1<<uint(n) - 1
-}
-
-// usedRegs returns one past the highest register index the kernel names.
-func usedRegs(k *isa.Kernel) int {
-	n := 0
-	for i := range k.Code {
-		in := &k.Code[i]
-		for _, r := range [4]isa.Reg{in.Dst, in.Srcs[0], in.Srcs[1], in.Srcs[2]} {
-			n = max(n, int(r)+1)
-		}
-	}
-	return min(n, isa.NumRegs)
 }
 
 // runCTA executes one CTA's warps in barrier-synchronised phases: each warp
@@ -158,10 +143,9 @@ type stackEntry struct {
 // warpState is one warp slot of a CTA. Run reuses it for the same warp
 // index of every CTA; reset returns it to a fresh warp's state.
 type warpState struct {
-	l     *kernelRun
-	cta   int
-	warp  int
-	nRegs int // registers the kernel names; reset clears only these
+	l    *kernelRun
+	cta  int
+	warp int
 
 	regs   [32][isa.NumRegs]uint64
 	preds  [32][isa.NumPreds]bool
@@ -178,9 +162,7 @@ type warpState struct {
 }
 
 func (w *warpState) reset(cta int) {
-	for l := range w.regs {
-		clear(w.regs[l][:w.nRegs])
-	}
+	w.regs = [32][isa.NumRegs]uint64{}
 	w.preds = [32][isa.NumPreds]bool{}
 	w.stack = append(w.stack[:0], stackEntry{pc: 0, rpc: -1, mask: w.launch})
 	w.cta, w.exited, w.done, w.steps = cta, 0, false, 0

@@ -10,7 +10,7 @@ import (
 	"accelwattch/internal/trace"
 )
 
-// SchedPolicy selects the warp scheduler of the cycle-accurate mode.
+// SchedPolicy selects the warp scheduler of the cycle-accurate replay.
 type SchedPolicy int
 
 const (
@@ -21,13 +21,6 @@ const (
 	// LRR is loose round-robin.
 	LRR
 )
-
-func (p SchedPolicy) String() string {
-	if p == GTO {
-		return "gto"
-	}
-	return "lrr"
-}
 
 // runCycleAccurate replays a trace with an explicit per-cycle loop — warp
 // schedulers, functional-unit pipelines with half-warp occupancy, a
@@ -145,10 +138,10 @@ func (s *Simulator) runCycleAccurate(policy SchedPolicy, kts ...*trace.KernelTra
 						idx = (int(cycle) + k) % n
 					}
 					w := ws[idx]
-					if w.cursor >= len(w.kt.Warps[w.wi].Recs) {
+					wt := &w.kt.Warps[w.wi]
+					if w.cursor >= len(wt.Recs) {
 						continue
 					}
-					wt := &w.kt.Warps[w.wi]
 					r := wt.Recs[w.cursor]
 					in := w.kt.Instr(r)
 					op := in.Op
