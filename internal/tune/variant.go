@@ -77,7 +77,7 @@ func (tb *Testbench) hwActivity(w Workload, v Variant) (core.Activity, error) {
 	}
 
 	var a core.Activity
-	opCounts := make(map[isa.Op]int64)
+	var opCounts [isa.NumOps]int64
 	var warpInstrs, laneSum int64
 	for wi := range kt.Warps {
 		for _, r := range kt.Warps[wi].Recs {
@@ -123,6 +123,12 @@ func (tb *Testbench) hwActivity(w Workload, v Variant) (core.Activity, error) {
 	if warpInstrs > 0 {
 		a.AvgLanes = float64(laneSum) / float64(warpInstrs)
 	}
-	a.Mix = core.ClassifyMix(core.MixInputFromOpCounts(opCounts, a.Cycles, a.ActiveSMs))
+	ops := make(map[isa.Op]int64)
+	for op, n := range opCounts {
+		if n > 0 {
+			ops[isa.Op(op)] = n
+		}
+	}
+	a.Mix = core.ClassifyMix(core.MixInputFromOpCounts(ops, a.Cycles, a.ActiveSMs))
 	return a, nil
 }
