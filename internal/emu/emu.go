@@ -49,7 +49,9 @@ func (e *UnhandledOpcodeError) Unwrap() error { return ErrUnhandledOpcode }
 
 // Run executes a kernel functionally and returns its dynamic trace. The
 // kernel may be at either ISA level; the trace is tagged with the level it
-// executed at. Memory is mutated in place (kernels produce results).
+// executed at. Memory is mutated in place (kernels produce results). A
+// launch whose trace would outgrow the trace budget fails with
+// ErrTraceBudget.
 func Run(k *isa.Kernel, mem *Memory) (*trace.KernelTrace, error) {
 	if err := k.Validate(); err != nil {
 		return nil, fmt.Errorf("emu: %w", err)
@@ -79,6 +81,7 @@ func Run(k *isa.Kernel, mem *Memory) (*trace.KernelTrace, error) {
 			kt.Warps = append(kt.Warps, w.collect(kt))
 		}
 	}
+	// Drop the arena's append slack; the trace may live for a session.
 	kt.Addrs = append(make([]uint64, 0, len(kt.Addrs)), kt.Addrs...)
 	return kt, nil
 }

@@ -16,8 +16,8 @@ const (
 	fileVersion = 2
 )
 
-// MaxFileBytes caps the trace files ReadFile accepts, well above the
-// encoding of a trace at emu's budget.
+// MaxFileBytes caps the trace files ReadFile accepts, about 25 times the
+// largest Full-scale trace file (42 MB).
 const MaxFileBytes = 1 << 30
 
 // Encode serialises a kernel trace.
