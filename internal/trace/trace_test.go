@@ -211,3 +211,23 @@ func TestRecActiveLanes(t *testing.T) {
 		t.Error("popcount wrong")
 	}
 }
+
+func TestEncodeDecodeRoundTrip(t *testing.T) {
+	k := &isa.Kernel{Name: "k", Level: isa.SASS, Grid: isa.Dim3{X: 1}, Block: isa.Dim3{X: 32},
+		Code: []isa.Instr{{Op: isa.OpEXIT, Pred: isa.PT}}}
+	kt := &KernelTrace{Kernel: k, Warps: []WarpTrace{{Recs: []Rec{{PC: 0, Mask: 1}}}}}
+	data, err := Encode(kt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kt2, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kt2.Kernel.Name != "k" || len(kt2.Warps) != 1 || kt2.Instr(kt2.Warps[0].Recs[0]).Op != isa.OpEXIT {
+		t.Error("round trip lost data")
+	}
+	if _, err := Decode([]byte("garbage")); err == nil {
+		t.Error("garbage decoded")
+	}
+}
