@@ -93,15 +93,16 @@ func main() {
 	fmt.Printf("average active lanes: %.2f; memory accesses: %d; global 128B lines: %d\n",
 		s.AvgLanes, s.MemAccesses, s.GlobalLines)
 
-	// Per-opcode census, descending; ties in opcode order, so the output
-	// does not depend on map iteration.
+	// Per-opcode census, descending; ties in opcode order.
 	type row struct {
 		op isa.Op
 		n  int64
 	}
 	var rows []row
 	for op, n := range s.OpCounts {
-		rows = append(rows, row{op, n})
+		if n > 0 {
+			rows = append(rows, row{isa.Op(op), n})
+		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].n != rows[j].n {

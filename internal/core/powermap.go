@@ -53,11 +53,16 @@ func OpComponent(op isa.Op) Component {
 const ICacheFetchFraction = 0.25
 
 // MixInputFromOpCounts builds the mix-classification census from warp-level
-// opcode counts, a cycle count, and the active SM count.
-func MixInputFromOpCounts(opCounts map[isa.Op]int64, cycles, activeSMs float64) MixInput {
+// opcode counts indexed by opcode, a cycle count, and the active SM count.
+// The sums are of integer counts, so they do not depend on the order the
+// opcodes are visited in.
+func MixInputFromOpCounts(opCounts [isa.NumOps]int64, cycles, activeSMs float64) MixInput {
 	var in MixInput
-	for op, n := range opCounts {
-		fn := float64(n)
+	for i, n := range opCounts {
+		if n == 0 {
+			continue
+		}
+		op, fn := isa.Op(i), float64(n)
 		in.Total += fn
 		switch OpComponent(op) {
 		case CompALU:

@@ -108,7 +108,7 @@ func TestTraceGolden(t *testing.T) {
 		for _, kk := range []*isa.Kernel{k, sass} {
 			mem := NewMemory()
 			for i := uint64(0); i < 64; i++ {
-				mem.Texture[i*4] = i * 3
+				mem.StoreTexture(i*4, i*3)
 			}
 			kt, err := Run(kk, mem)
 			if err != nil {

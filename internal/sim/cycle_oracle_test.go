@@ -77,7 +77,7 @@ func (s *Simulator) runCycleAccurate(policy SchedPolicy, kts ...*trace.KernelTra
 		return nil, err
 	}
 
-	res := &Result{OpCounts: make(map[isa.Op]int64)}
+	res := &Result{}
 	act := &res.Aggregate
 	var laneSum float64
 	warpIdxInSM := map[int]int{}

@@ -127,8 +127,8 @@ type Result struct {
 	Aggregate core.Activity
 	Windows   []core.Activity
 
-	// Instruction census for reporting.
-	OpCounts   map[isa.Op]int64
+	// Instruction census for reporting, indexed by opcode.
+	OpCounts   [isa.NumOps]int64
 	WarpInstrs int64
 	AvgLanes   float64
 }
@@ -156,7 +156,7 @@ func (s *Simulator) Run(kts ...*trace.KernelTrace) (*Result, error) {
 	}
 
 	arch := s.arch
-	res := &Result{OpCounts: make(map[isa.Op]int64)}
+	res := &Result{}
 	act := &res.Aggregate
 
 	// PTX-mode simulation uses the legacy 128-byte-line coalescer (as
@@ -181,7 +181,7 @@ func (s *Simulator) Run(kts ...*trace.KernelTrace) (*Result, error) {
 	// prologue, compute epilogue) appear as distinct power levels.
 	type winAcct struct {
 		act     core.Activity
-		ops     map[isa.Op]int64
+		ops     [isa.NumOps]int64
 		laneSum float64
 		instrs  float64
 	}
@@ -192,7 +192,7 @@ func (s *Simulator) Run(kts ...*trace.KernelTrace) (*Result, error) {
 			idx = 0
 		}
 		for len(wins) <= idx {
-			wins = append(wins, &winAcct{ops: make(map[isa.Op]int64)})
+			wins = append(wins, &winAcct{})
 		}
 		return wins[idx]
 	}
@@ -225,6 +225,7 @@ func (s *Simulator) Run(kts ...*trace.KernelTrace) (*Result, error) {
 						start = w
 					}
 				}
+				wa := winFor(start)
 				lat := s.lat[op]
 				var acc trace.Access
 				if info.IsMem {
@@ -235,7 +236,7 @@ func (s *Simulator) Run(kts ...*trace.KernelTrace) (*Result, error) {
 				case op == isa.OpNANOSLEEP:
 					lat = float64(in.Imm)
 				case info.IsMem && lanes > 0:
-					lat = s.memAccess(act, &winFor(start).act, st, in, acc, l1For(sm), l2, &dramBytes, secBytes)
+					lat = s.memAccess(act, &wa.act, st, in, acc, l1For(sm), l2, &dramBytes, secBytes)
 				}
 				if info.WritesReg && !in.SemNop {
 					wb[in.Dst] = start + lat
@@ -253,7 +254,7 @@ func (s *Simulator) Run(kts ...*trace.KernelTrace) (*Result, error) {
 				if info.WritesReg {
 					rfOperands++
 				}
-				for _, dst := range [2]*core.Activity{act, &winFor(start).act} {
+				for _, dst := range [2]*core.Activity{act, &wa.act} {
 					dst.Counts[core.OpComponent(op)] += fl
 					dst.Counts[core.CompRF] += rfOperands * fl
 					dst.Counts[core.CompIBUF]++
@@ -261,7 +262,6 @@ func (s *Simulator) Run(kts ...*trace.KernelTrace) (*Result, error) {
 					dst.Counts[core.CompSCHED]++
 					dst.Counts[core.CompPIPE]++
 				}
-				wa := winFor(start)
 				wa.ops[op]++
 				wa.laneSum += fl
 				wa.instrs++

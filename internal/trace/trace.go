@@ -217,9 +217,9 @@ func (kt *KernelTrace) Validate() error {
 // Stats summarises a kernel trace.
 type Stats struct {
 	WarpCount     int
-	DynInstrs     int64            // total warp-level dynamic instructions
-	ThreadInstrs  int64            // lane-weighted dynamic instructions
-	OpCounts      map[isa.Op]int64 // warp-level counts per opcode
+	DynInstrs     int64             // total warp-level dynamic instructions
+	ThreadInstrs  int64             // lane-weighted dynamic instructions
+	OpCounts      [isa.NumOps]int64 // warp-level counts, indexed by opcode
 	UnitCounts    map[isa.Unit]int64
 	AvgLanes      float64 // average active lanes per warp instruction
 	MemAccesses   int64   // warp-level memory instructions
@@ -231,7 +231,6 @@ type Stats struct {
 func Summarize(kt *KernelTrace) Stats {
 	s := Stats{
 		WarpCount:  len(kt.Warps),
-		OpCounts:   make(map[isa.Op]int64),
 		UnitCounts: make(map[isa.Unit]int64),
 	}
 	var laneSum int64

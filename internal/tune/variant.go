@@ -123,12 +123,6 @@ func (tb *Testbench) hwActivity(w Workload, v Variant) (core.Activity, error) {
 	if warpInstrs > 0 {
 		a.AvgLanes = float64(laneSum) / float64(warpInstrs)
 	}
-	ops := make(map[isa.Op]int64)
-	for op, n := range opCounts {
-		if n > 0 {
-			ops[isa.Op(op)] = n
-		}
-	}
-	a.Mix = core.ClassifyMix(core.MixInputFromOpCounts(ops, a.Cycles, a.ActiveSMs))
+	a.Mix = core.ClassifyMix(core.MixInputFromOpCounts(opCounts, a.Cycles, a.ActiveSMs))
 	return a, nil
 }

@@ -143,8 +143,8 @@ func TestKernelCharacteristics(t *testing.T) {
 	// Shared-memory kernels hit shared space.
 	for _, name := range []string{"walsh_K1", "bprop_K1", "hspot_K1", "sgemm_K1", "pfind_K1"} {
 		found := false
-		for op, n := range byName[name].OpCounts {
-			if (op == isa.OpLDS || op == isa.OpSTS) && n > 0 {
+		for i, n := range byName[name].OpCounts {
+			if op := isa.Op(i); (op == isa.OpLDS || op == isa.OpSTS) && n > 0 {
 				found = true
 			}
 		}
