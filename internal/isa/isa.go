@@ -229,9 +229,10 @@ func (k *Kernel) Clone() *Kernel {
 // would size a replay's window slice.
 const MaxSleepCycles = 1 << 20
 
-// Validate checks structural invariants: register and predicate indices in
-// range, branch targets inside the code, bounded sleeps, a terminating
-// EXIT, and that the ISA level of every opcode matches the kernel's level.
+// Validate checks structural invariants: every register field and
+// predicate index in range, branch targets inside the code, bounded
+// sleeps, a terminating EXIT, and that the ISA level of every opcode
+// matches the kernel's level.
 func (k *Kernel) Validate() error {
 	if k.Name == "" {
 		return fmt.Errorf("isa: kernel has no name")
@@ -254,7 +255,9 @@ func (k *Kernel) Validate() error {
 		if k.Level == SASS && info.PTXOnly {
 			return fmt.Errorf("isa: kernel %s: pc %d: %s is a PTX-level op in a SASS kernel", k.Name, pc, info.Name)
 		}
-		if int(in.Dst) >= NumRegs && info.WritesReg {
+		// The executor resolves every register field to a row of the
+		// register file, used by the opcode or not.
+		if int(in.Dst) >= NumRegs {
 			return fmt.Errorf("isa: kernel %s: pc %d: destination register R%d out of range", k.Name, pc, in.Dst)
 		}
 		if info.WritesPred && in.Dst >= NumPreds {
@@ -263,9 +266,9 @@ func (k *Kernel) Validate() error {
 		if int(in.NSrc) > len(in.Srcs) {
 			return fmt.Errorf("isa: kernel %s: pc %d: %d source operands, at most %d", k.Name, pc, in.NSrc, len(in.Srcs))
 		}
-		for i := 0; i < int(in.NSrc); i++ {
-			if int(in.Srcs[i]) >= NumRegs {
-				return fmt.Errorf("isa: kernel %s: pc %d: source register R%d out of range", k.Name, pc, in.Srcs[i])
+		for _, r := range in.Srcs {
+			if int(r) >= NumRegs {
+				return fmt.Errorf("isa: kernel %s: pc %d: source register R%d out of range", k.Name, pc, r)
 			}
 		}
 		if in.Pred != PT && in.Pred >= NumPreds {

@@ -139,6 +139,8 @@ func TestValidateRejects(t *testing.T) {
 			}
 		}},
 		{"invalid opcode", func(k *Kernel) { k.Code[0].Op = OpInvalid }},
+		{"unused destination out of range", func(k *Kernel) { k.Code[len(k.Code)-1].Dst = NumRegs }},
+		{"unused source out of range", func(k *Kernel) { k.Code[len(k.Code)-1].Srcs[2] = NumRegs }},
 		{"exit not last", func(k *Kernel) { k.Code = append(k.Code, k.Code[0]) }},
 	}
 	for _, c := range cases {
