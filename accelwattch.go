@@ -122,7 +122,8 @@ func NewSessionWithContext(ctx context.Context, arch *Arch, sc Scale, opts Sessi
 
 // SessionOptions customises how a session measures and tunes. The zero
 // value reproduces NewSession exactly: a clean meter and the default
-// measurement policy, bit-identical to the unhardened pipeline.
+// measurement policy, bit-identical to the unhardened pipeline. Every
+// operating point is measured in process, by the engine's worker replicas.
 type SessionOptions struct {
 	// Faults wires a deterministic fault injector between the tuning
 	// pipeline and the synthetic-silicon power meter. Nil (or a profile
@@ -138,14 +139,6 @@ type SessionOptions struct {
 	// bit-identical at every worker count — parallelism only changes
 	// wall-clock time.
 	Workers int
-
-	// Shards, when non-nil, backs the engine's measurement slots with a
-	// fleet of remote worker replicas (typically a *shard.Dispatcher over
-	// cmd/awworker processes). Placement never changes a result: every
-	// reading is a pure function of its operating point, and any remote
-	// failure — timeouts, open circuits, crashed workers — falls back to
-	// in-process measurement, bit-identically.
-	Shards tune.RemoteCaller
 }
 
 // NamedFaultProfile returns a canned fault profile by name ("noisy",
@@ -166,11 +159,8 @@ func NewSessionWithOptions(arch *Arch, sc Scale, opts SessionOptions) (*Session,
 
 // NewWorkerTestbench builds the measurement testbench exactly as a session
 // would — same fault-injector wrapping, same policy selection — without
-// running the tuning pipeline. cmd/awworker uses it so a worker started with
-// the same flags as a coordinator computes the same measurement fingerprint
-// (see tune.Testbench.Fingerprint) and therefore the same bytes; a worker
-// built differently refuses tasks instead of answering plausibly and
-// wrongly. Shards and Workers in opts are ignored here.
+// running the tuning pipeline, for callers that drive the testbench's
+// stages themselves. Workers in opts is ignored here.
 func NewWorkerTestbench(arch *Arch, sc Scale, opts SessionOptions) (*tune.Testbench, error) {
 	tb, err := tune.NewTestbench(arch, sc)
 	if err != nil {
@@ -210,12 +200,6 @@ func newSession(ctx context.Context, arch *Arch, sc Scale, opts SessionOptions) 
 	tb, err := NewWorkerTestbench(arch, sc, opts)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Shards != nil {
-		// Installed before the engine pool is built so every replica
-		// inherits the dispatcher; scoped to ctx so cancelling the session
-		// aborts in-flight remote placements as "canceled".
-		tb.UseShards(ctx, opts.Shards)
 	}
 	// The engine is built after UseMeter so replicas wrap the installed
 	// meter (fault state is shared across replicas; see internal/faults).

@@ -17,8 +17,7 @@
 // Each estimate is computed in its request handler: at most -workers
 // computations run at once, up to -queue more wait for a slot (until
 // -deadline, then 504), and a cache miss beyond that answers 429. A cache
-// hit takes no slot. -shards offloads startup tuning to awworker processes;
-// serving itself always computes in process.
+// hit takes no slot.
 //
 // SIGINT/SIGTERM triggers a graceful drain: readiness flips to 503, new
 // estimation work is refused, accepted work is answered, in-flight HTTP
@@ -42,7 +41,6 @@ import (
 	"accelwattch/internal/cli"
 	"accelwattch/internal/core"
 	"accelwattch/internal/serve"
-	"accelwattch/internal/tune"
 	"accelwattch/internal/zoo"
 )
 
@@ -62,24 +60,11 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for accepted work and in-flight responses")
 		ledgerCap    = flag.Int("ledger-cap", 65536, "attribution-ledger retention in events (0 = unbounded; unsafe for long runs)")
 	)
-	shards := cli.ShardFlags()
 	traceOut, ledgerOut := cli.Artifacts()
 	flag.Parse()
 
 	run := cli.StartCapped("awserve", *archName, *traceOut, *ledgerOut, *ledgerCap)
-	// remote stays a nil interface when shards are off — a typed-nil
-	// dispatcher would defeat the opts.Shards != nil gate downstream.
-	var remote tune.RemoteCaller
-	if shards.Enabled() {
-		d, err := shards.Dispatcher(nil)
-		if err != nil {
-			run.Fatal(err)
-		}
-		defer d.Close()
-		remote = d
-		run.Log.Info("offloading startup tuning to worker shards", "addrs", shards.Addrs, "net_faults", shards.NetProfile)
-	}
-	set, err := buildSet(*manifestPath, *modelPath, *archName, *full, *workers, remote,
+	set, err := buildSet(*manifestPath, *modelPath, *archName, *full, *workers,
 		func(format string, args ...any) { run.Log.Warn(fmt.Sprintf(format, args...)) })
 	if err != nil {
 		run.Fatal(err)
@@ -143,12 +128,12 @@ func main() {
 //     aw_serve_variant_mismatch_total;
 //   - neither: tune -arch at startup, exactly as before.
 func buildSet(manifestPath, modelPath, archName string, full bool, workers int,
-	shards tune.RemoteCaller, warn func(format string, args ...any)) (*zoo.Set, error) {
+	warn func(format string, args ...any)) (*zoo.Set, error) {
 	if warn == nil {
 		warn = func(string, ...any) {}
 	}
 	if manifestPath != "" {
-		return cli.BuildModelSet(manifestPath, workers, shards, warn)
+		return cli.BuildModelSet(manifestPath, workers, nil, warn)
 	}
 	if modelPath != "" {
 		m, err := core.LoadModel(modelPath)
@@ -165,7 +150,7 @@ func buildSet(manifestPath, modelPath, archName string, full bool, workers int,
 		}
 		return &zoo.Set{Default: e.Name, Entries: []*zoo.Entry{e}}, nil
 	}
-	models, source, err := cli.TuneModels(workers, shards)(archName, full)
+	models, source, err := cli.TuneModels(workers)(archName, full)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func testModelFile(t *testing.T, tunedVariant string) string {
 
 func TestBuildSetFromFile(t *testing.T) {
 	path := testModelFile(t, "")
-	set, err := buildSet("", path, "volta", false, 1, nil, nil)
+	set, err := buildSet("", path, "volta", false, 1, nil)
 	if err != nil {
 		t.Fatalf("buildSet: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestBuildSetFromFile(t *testing.T) {
 func TestBuildSetTaggedModelWarns(t *testing.T) {
 	path := testModelFile(t, tune.SASSSIM.String())
 	var warned []string
-	set, err := buildSet("", path, "volta", false, 1, nil,
+	set, err := buildSet("", path, "volta", false, 1,
 		func(format string, args ...any) { warned = append(warned, fmt.Sprintf(format, args...)) })
 	if err != nil {
 		t.Fatalf("buildSet: %v", err)
@@ -100,7 +100,7 @@ func TestBuildSetFromManifest(t *testing.T) {
 	if err := os.WriteFile(manifest, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	set, err := buildSet(manifest, "", "volta", false, 1, nil, nil)
+	set, err := buildSet(manifest, "", "volta", false, 1, nil)
 	if err != nil {
 		t.Fatalf("buildSet: %v", err)
 	}
@@ -121,13 +121,13 @@ func TestBuildSetFromManifest(t *testing.T) {
 }
 
 func TestBuildSetErrors(t *testing.T) {
-	if _, err := buildSet("", filepath.Join(t.TempDir(), "nope.json"), "volta", false, 1, nil, nil); err == nil {
+	if _, err := buildSet("", filepath.Join(t.TempDir(), "nope.json"), "volta", false, 1, nil); err == nil {
 		t.Fatal("buildSet accepted a missing model file")
 	}
-	if _, err := buildSet("", "", "ampere", false, 1, nil, nil); err == nil {
+	if _, err := buildSet("", "", "ampere", false, 1, nil); err == nil {
 		t.Fatal("buildSet accepted an unknown architecture")
 	}
-	if _, err := buildSet(filepath.Join(t.TempDir(), "nope.json"), "", "volta", false, 1, nil, nil); err == nil {
+	if _, err := buildSet(filepath.Join(t.TempDir(), "nope.json"), "", "volta", false, 1, nil); err == nil {
 		t.Fatal("buildSet accepted a missing manifest")
 	}
 }

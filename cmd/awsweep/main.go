@@ -32,7 +32,6 @@ func main() {
 		strict     = flag.Bool("strict", false, "exit non-zero on partial failure (any quarantined workload)")
 		metricsOut = flag.String("metrics-out", "", "write the JSON telemetry snapshot (metrics + stage spans) to this file")
 	)
-	shards := cli.ShardFlags()
 	traceOut, ledgerOut := cli.Artifacts()
 	flag.Parse()
 
@@ -48,16 +47,6 @@ func main() {
 	tb, err := tune.NewTestbench(arch, sc)
 	if err != nil {
 		obsRun.Fatal(err)
-	}
-	if shards.Enabled() {
-		d, err := shards.Dispatcher(nil)
-		if err != nil {
-			obsRun.Fatal(err)
-		}
-		defer d.Close()
-		tb.UseShards(nil, d)
-		fmt.Printf("offloading measurements to worker shards %s (net faults %q)\n",
-			shards.Addrs, shards.NetProfile)
 	}
 	ex, err := tune.NewExec(nil, tb, *workers)
 	if err != nil {

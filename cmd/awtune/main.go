@@ -33,7 +33,6 @@ func main() {
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "execution-engine worker count (results are identical at any setting)")
 		metricsOut = flag.String("metrics-out", "", "write the JSON telemetry snapshot (metrics + stage spans) to this file")
 	)
-	shards := cli.ShardFlags()
 	traceOut, ledgerOut := cli.Artifacts()
 	flag.Parse()
 
@@ -66,16 +65,6 @@ func main() {
 			*faultName, *faultSeed)
 	}
 	opts := accelwattch.SessionOptions{Faults: &prof, Workers: *workers}
-	if shards.Enabled() {
-		d, err := shards.Dispatcher(nil)
-		if err != nil {
-			run.Fatal(err)
-		}
-		defer d.Close()
-		opts.Shards = d
-		fmt.Printf("offloading measurements to worker shards %s (net faults %q)\n",
-			shards.Addrs, shards.NetProfile)
-	}
 	sess, err := accelwattch.NewSessionWithOptions(arch, sc, opts)
 	if err != nil {
 		run.Fatal(err)

@@ -37,7 +37,6 @@ func main() {
 		byCategory = flag.Bool("by-category", false, "validate the AI-inference pack and report MAPE per category (gemm, attention, tensorcore, memory, parked)")
 		catBounds  = flag.String("category-bounds", "", "gate per-category MAPE against a bound file (one \"category percent\" per line); implies -by-category")
 	)
-	shards := cli.ShardFlags()
 	traceOut, ledgerOut := cli.Artifacts()
 	flag.Parse()
 
@@ -48,16 +47,6 @@ func main() {
 	run := cli.Start("awvalidate", "volta", *traceOut, *ledgerOut)
 	fmt.Println("tuning AccelWattch on the Volta testbench...")
 	opts := accelwattch.SessionOptions{Workers: *workers}
-	if shards.Enabled() {
-		d, err := shards.Dispatcher(nil)
-		if err != nil {
-			run.Fatal(err)
-		}
-		defer d.Close()
-		opts.Shards = d
-		fmt.Printf("offloading measurements to worker shards %s (net faults %q)\n",
-			shards.Addrs, shards.NetProfile)
-	}
 	sess, err := accelwattch.NewSessionWithOptions(accelwattch.Volta(), sc, opts)
 	if err != nil {
 		run.Fatal(err)

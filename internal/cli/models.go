@@ -14,8 +14,12 @@ import (
 // saved configs (relative paths anchored at the manifest's directory, with
 // the tuned-variant guard applied), and derive entries apply the Section
 // 7.1 transform to an earlier entry. warn receives loud non-fatal
-// conditions; nil drops them.
-func BuildModelSet(path string, workers int, shards tune.RemoteCaller, warn func(format string, args ...any)) (*zoo.Set, error) {
+// conditions; nil drops them. The third argument is ignored.
+func BuildModelSet(path string, workers int,
+	// Deprecated: ignored. It named remote measurement workers, which no
+	// longer exist; pass nil.
+	_ any,
+	warn func(format string, args ...any)) (*zoo.Set, error) {
 	m, err := zoo.LoadManifest(path)
 	if err != nil {
 		return nil, err
@@ -23,14 +27,14 @@ func BuildModelSet(path string, workers int, shards tune.RemoteCaller, warn func
 	return zoo.Build(m, zoo.BuildOptions{
 		Dir:  filepath.Dir(path),
 		Warn: warn,
-		Tune: TuneModels(workers, shards),
+		Tune: TuneModels(workers),
 	})
 }
 
 // TuneModels adapts the public session API into the zoo.TuneFunc shape, so
 // manifest "tune" entries run the same Figure 1 flow the single-model
 // server always ran at startup.
-func TuneModels(workers int, shards tune.RemoteCaller) zoo.TuneFunc {
+func TuneModels(workers int) zoo.TuneFunc {
 	return func(archAlias string, full bool) (map[tune.Variant]*core.Model, string, error) {
 		arch, err := zoo.ResolveArch(archAlias)
 		if err != nil {
@@ -41,7 +45,7 @@ func TuneModels(workers int, shards tune.RemoteCaller) zoo.TuneFunc {
 			sc, scName = accelwattch.Full, "full"
 		}
 		sess, err := accelwattch.NewSessionWithOptions(arch, sc,
-			accelwattch.SessionOptions{Workers: workers, Shards: shards})
+			accelwattch.SessionOptions{Workers: workers})
 		if err != nil {
 			return nil, "", err
 		}

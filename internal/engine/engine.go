@@ -19,15 +19,6 @@
 // The rest of the contract lives with the callers: all cross-replica state
 // (memoised measurements, fault-injection RNG, quarantine counters) must be
 // keyed by operating point, not by call order.
-//
-// Replicas may also be remote-backed: a replica whose resource offloads its
-// work to a worker shard over internal/shard (see tune.Testbench.UseShards)
-// is indistinguishable from an in-process one, because the purity contract
-// above makes placement invisible — a task computed on another machine, or
-// recomputed locally after that machine fails mid-call, yields the same
-// bytes. The engine therefore needs no networking awareness at all; fault
-// tolerance (retries, circuit breaking, failover, local fallback) lives
-// entirely inside the resource the replica wraps.
 package engine
 
 import (

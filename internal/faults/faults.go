@@ -269,9 +269,6 @@ func (f *FaultyMeter) Replicate(inner Meter) *FaultyMeter {
 // Inner returns the wrapped meter.
 func (f *FaultyMeter) Inner() Meter { return f.inner }
 
-// Profile returns the active fault profile.
-func (f *FaultyMeter) FaultProfile() Profile { return f.prof }
-
 // Stats returns a snapshot of the injected-fault counters, aggregated
 // across all replicas sharing this meter's state.
 func (f *FaultyMeter) Stats() Stats {

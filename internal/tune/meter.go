@@ -114,7 +114,6 @@ func (tb *Testbench) UseMeter(m faults.Meter, p MeterPolicy) {
 	tb.Meter = m
 	tb.Policy = p
 	tb.arts.measures.Reset()
-	tb.arts.points.Reset()
 	tb.arts.profiles.Reset()
 	tb.arts.mu.Lock()
 	tb.arts.quarantined = make(map[string]string)

@@ -7,7 +7,6 @@
 package tune
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -48,12 +47,6 @@ type Testbench struct {
 	// no measurement depends on it.
 	Worker int
 
-	// remote, when set via UseShards, offloads point measurements to a
-	// fleet of worker shards, with this process as the graceful fallback.
-	// remoteCtx scopes those calls to the run so a shutdown cancels them.
-	remote    RemoteCaller
-	remoteCtx context.Context
-
 	arts *artifacts
 }
 
@@ -77,7 +70,6 @@ type measureKey struct {
 type artifacts struct {
 	traces   *engine.Store[traceKey, *trace.KernelTrace]
 	measures *engine.Store[measureKey, *silicon.Measurement]
-	points   *engine.Store[measureKey, PointOutcome]
 	profiles *engine.Store[string, *silicon.Counters]
 	simRuns  *engine.Store[traceKey, *sim.Result]
 
@@ -90,7 +82,6 @@ func newArtifacts() *artifacts {
 	return &artifacts{
 		traces:      engine.NewStore[traceKey, *trace.KernelTrace](),
 		measures:    engine.NewStore[measureKey, *silicon.Measurement](),
-		points:      engine.NewStore[measureKey, PointOutcome](),
 		profiles:    engine.NewStore[string, *silicon.Counters](),
 		simRuns:     engine.NewStore[traceKey, *sim.Result](),
 		quarantined: make(map[string]string),
@@ -134,8 +125,7 @@ func (tb *Testbench) Replicate() (*Testbench, error) {
 	nt := &Testbench{
 		Arch: tb.Arch, Device: dev, Sim: s, Scale: tb.Scale,
 		Policy: tb.Policy,
-		remote: tb.remote, remoteCtx: tb.remoteCtx,
-		arts: tb.arts,
+		arts:   tb.arts,
 	}
 	switch m := tb.Meter.(type) {
 	case *silicon.Device:
@@ -189,88 +179,65 @@ func (tb *Testbench) Trace(w Workload, level isa.Level) (*trace.KernelTrace, err
 	})
 }
 
-// PointOutcome is the result of measuring one operating point: either a
-// measurement or the deterministic reason it failed. Deterministic failures
-// travel as values, not errors — an operating point that fails all retries
-// fails identically on every replica, local or remote, so the outcome is
-// memoised and shipped over the wire exactly like a successful reading.
-// Attempts totals the meter reads spent (the ledger's effort record).
-type PointOutcome struct {
-	M        *silicon.Measurement `json:"m,omitempty"`
-	Attempts int                  `json:"attempts"`
-	ErrMsg   string               `json:"err,omitempty"`
+// pointOutcome is the result of measuring one operating point: either a
+// measurement or the deterministic reason it failed. Attempts totals the
+// meter reads spent (the ledger's effort record).
+type pointOutcome struct {
+	m        *silicon.Measurement
+	attempts int
+	errMsg   string
 }
 
 // Measure runs the workload on the silicon at the given core clock (0 means
 // the base applications clock) following the methodology of Section 4.1
 // (65C die temperature, locked clocks) and returns the NVML measurement.
-// Each operating point is measured exactly once across all replicas; a
-// failed point counts toward the workload's quarantine budget and its error
-// is cached, so repeated sweeps see a stable outcome.
-//
-// With worker shards installed (UseShards) the point is measured on a
-// remote replica when one is reachable and in process otherwise; either
-// way the outcome is bit-identical, because a point's reading is a pure
-// function of (workload, clock, meter profile) — never of placement.
+// Each operating point is measured exactly once, in process, across all
+// replicas; a failed point counts toward the workload's quarantine budget
+// and its error is cached, so repeated sweeps see a stable outcome.
 func (tb *Testbench) Measure(w Workload, clockMHz float64) (*silicon.Measurement, error) {
 	if clockMHz == 0 {
 		clockMHz = tb.Arch.BaseClockMHz
 	}
 	return tb.arts.measures.Do(measureKey{w.Name, clockMHz}, func() (*silicon.Measurement, error) {
-		out, err := tb.resolvePoint(w, clockMHz)
+		out, err := tb.localPoint(w, clockMHz)
 		if err != nil {
 			return nil, err
 		}
 		pol := tb.Policy.normalized()
-		if out.ErrMsg != "" {
+		if out.errMsg != "" {
 			obs.Emit(obs.Event{Kind: obs.KindMeasureErr, Stage: "tune/measure",
-				Workload: w.Name, ClockMHz: clockMHz, Attempts: out.Attempts, Error: out.ErrMsg})
+				Workload: w.Name, ClockMHz: clockMHz, Attempts: out.attempts, Error: out.errMsg})
 			tb.noteFailure(w.Name, pol)
-			return nil, fmt.Errorf("tune: measuring %s at %.0f MHz: %s: %w", w.Name, clockMHz, out.ErrMsg, ErrMeasurement)
+			return nil, fmt.Errorf("tune: measuring %s at %.0f MHz: %s: %w", w.Name, clockMHz, out.errMsg, ErrMeasurement)
 		}
 		obs.Emit(obs.Event{Kind: obs.KindMeasure, Stage: "tune/measure",
-			Workload: w.Name, ClockMHz: clockMHz, PowerW: out.M.AvgPowerW, Attempts: out.Attempts})
-		return out.M, nil
+			Workload: w.Name, ClockMHz: clockMHz, PowerW: out.m.AvgPowerW, Attempts: out.attempts})
+		return out.m, nil
 	})
 }
 
-// MeasurePoint measures one operating point in process, memoised: repeated
-// calls — including repeated remote deliveries of the same task after a
-// dropped response — replay the cached outcome instead of re-reading the
-// meter, which is what keeps per-point fault state (attempt counters, lag
-// history) advancing exactly once however many times the point is asked
-// for. Worker shards serve this; coordinators use Measure.
-func (tb *Testbench) MeasurePoint(w Workload, clockMHz float64) (PointOutcome, error) {
-	if clockMHz == 0 {
-		clockMHz = tb.Arch.BaseClockMHz
-	}
-	return tb.arts.points.Do(measureKey{w.Name, clockMHz}, func() (PointOutcome, error) {
-		return tb.localPoint(w, clockMHz)
-	})
-}
-
-// localPoint reads one operating point on this process's meter. Hard errors
+// localPoint reads one operating point on this replica's meter. Hard errors
 // (a failed trace, a clock out of range) return as errors; a measurement
 // that failed all retries is a deterministic outcome and returns as a value
-// with ErrMsg set.
-func (tb *Testbench) localPoint(w Workload, clockMHz float64) (PointOutcome, error) {
+// with errMsg set.
+func (tb *Testbench) localPoint(w Workload, clockMHz float64) (pointOutcome, error) {
 	kt, err := tb.Trace(w, isa.SASS)
 	if err != nil {
-		return PointOutcome{}, err
+		return pointOutcome{}, err
 	}
 	pol := tb.Policy.normalized()
 	sp := obs.StartSpan("tune/measure").WithWorker(tb.Worker).WithDetail(w.Name)
 	defer sp.End()
 	tb.Meter.SetTemperature(65)
 	if err := tb.Meter.SetClock(clockMHz); err != nil {
-		return PointOutcome{}, err
+		return pointOutcome{}, err
 	}
 	m, attempts, err := tb.measurePoint(kt, pol)
 	tb.Meter.ResetClock()
 	if err != nil {
-		return PointOutcome{Attempts: attempts, ErrMsg: err.Error()}, nil
+		return pointOutcome{attempts: attempts, errMsg: err.Error()}, nil
 	}
-	return PointOutcome{M: m, Attempts: attempts}, nil
+	return pointOutcome{m: m, attempts: attempts}, nil
 }
 
 // Profile returns the hardware performance counters for the workload at the

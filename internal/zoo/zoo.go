@@ -8,9 +8,9 @@
 // exact scaling factors applied, and the constant-power multiplier, so
 // provenance is inspectable wherever the entry is served.
 //
-// The package holds models and provenance only. Serving state — cache
-// shards, flight groups, readiness — belongs to internal/serve, which wraps
-// each entry in a model-scoped serving unit.
+// The package holds models and provenance only. Serving state — the
+// response cache, admission, readiness — belongs to internal/serve, which
+// wraps each entry in a model-scoped serving unit.
 package zoo
 
 import (
@@ -131,8 +131,7 @@ func (e *Entry) VariantNames() []string {
 
 // Fingerprint hashes one variant's model (empty when not served). Two
 // processes that loaded or derived the same model agree on it; any
-// coefficient drift breaks it. It is the same fingerprint the shard layer
-// pins remote workers to.
+// coefficient drift breaks it.
 func (e *Entry) Fingerprint(v tune.Variant) string {
 	m := e.Model(v)
 	if m == nil {
