@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -70,12 +69,9 @@ func (st *state) serveHealth(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-func (st *state) serveIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	fmt.Fprintf(w, "awexport: AccelWattch telemetry for %s\n"+
+// index is the text of the exporter's / page.
+func (st *state) index() string {
+	return fmt.Sprintf("awexport: AccelWattch telemetry for %s\n"+
 		"/metrics       Prometheus text exposition\n"+
 		"/healthz       JSON health probe\n"+
 		"/debug/pprof/  Go profiling endpoints\n", st.archName)
@@ -99,22 +95,6 @@ func shutdownFlush(reg *obs.Registry, run *cli.Run, metricsOut, reason string) e
 		first = err
 	}
 	return first
-}
-
-// newMux assembles the exporter's HTTP surface: metrics, health, the pprof
-// profiling endpoints, and the index. Factored out of main so tests can
-// drive the exact mux the exporter serves.
-func newMux(reg *obs.Registry, st *state) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg.Handler())
-	mux.HandleFunc("/healthz", st.serveHealth)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/", st.serveIndex)
-	return mux
 }
 
 func main() {
@@ -201,7 +181,7 @@ func main() {
 		return
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: newMux(reg, st)}
+	httpSrv := &http.Server{Addr: *addr, Handler: cli.AdminMux(reg, st.serveHealth, st.index())}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 

@@ -35,7 +35,7 @@ func get(t *testing.T, url string) (int, string) {
 // next success.
 func TestHealthzSemantics(t *testing.T) {
 	st := newState("volta")
-	srv := httptest.NewServer(newMux(obs.NewRegistry(), st))
+	srv := httptest.NewServer(cli.AdminMux(obs.NewRegistry(), st.serveHealth, st.index()))
 	defer srv.Close()
 
 	decode := func(body string) map[string]any {
@@ -77,7 +77,8 @@ func TestHealthzSemantics(t *testing.T) {
 // TestPprofRoutesWired asserts the profiling surface is mounted on the
 // exporter mux — each endpoint answers 200 with its expected content.
 func TestPprofRoutesWired(t *testing.T) {
-	srv := httptest.NewServer(newMux(obs.NewRegistry(), newState("volta")))
+	st := newState("volta")
+	srv := httptest.NewServer(cli.AdminMux(obs.NewRegistry(), st.serveHealth, st.index()))
 	defer srv.Close()
 
 	for path, want := range map[string]string{
@@ -111,7 +112,8 @@ func TestConcurrentScrapesDuringTune(t *testing.T) {
 	}
 	reg := obs.Default()
 	obs.RegisterRuntimeMetrics(reg)
-	srv := httptest.NewServer(newMux(reg, newState("volta")))
+	st := newState("volta")
+	srv := httptest.NewServer(cli.AdminMux(reg, st.serveHealth, st.index()))
 	defer srv.Close()
 
 	done := make(chan error, 1)

@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -146,28 +145,12 @@ func (st *state) serveHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (st *state) serveIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	fmt.Fprintf(w, "awmeterd: continuous energy attribution for %s (%d tenants)\n"+
+// index is the text of the daemon's / page.
+func (st *state) index() string {
+	return fmt.Sprintf("awmeterd: continuous energy attribution for %s (%d tenants)\n"+
 		"/metrics       Prometheus text exposition (per-tenant joules/watts)\n"+
 		"/healthz       JSON health probe\n"+
 		"/debug/pprof/  Go profiling endpoints\n", st.archName, st.tenants)
-}
-
-// newMux assembles the daemon's HTTP surface, factored out for tests.
-func newMux(reg *obs.Registry, st *state) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg.Handler())
-	mux.HandleFunc("/healthz", st.serveHealth)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/", st.serveIndex)
-	return mux
 }
 
 func main() {
@@ -227,7 +210,7 @@ func main() {
 	}
 
 	st := &state{archName: *archName, tenants: *tenants}
-	httpSrv := &http.Server{Addr: *addr, Handler: newMux(reg, st)}
+	httpSrv := &http.Server{Addr: *addr, Handler: cli.AdminMux(reg, st.serveHealth, st.index())}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 

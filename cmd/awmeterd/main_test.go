@@ -139,7 +139,7 @@ func TestMuxSurface(t *testing.T) {
 	st := &state{archName: o.archName, tenants: o.tenants}
 	st.ticks.Store(c.Ticks())
 	st.live.Store(int64(c.Live()))
-	srv := httptest.NewServer(newMux(reg, st))
+	srv := httptest.NewServer(cli.AdminMux(reg, st.serveHealth, st.index()))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -156,6 +156,15 @@ func TestMuxSurface(t *testing.T) {
 	}
 	if code, body := get("/healthz"); code != 200 || !strings.Contains(body, `"ticks":3`) {
 		t.Fatalf("/healthz = %d: %s", code, body)
+	}
+	// The pprof index is mounted, and so is the cmdline route it links to.
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/goroutine?debug=1"} {
+		if code, body := get(path); code != 200 {
+			t.Fatalf("%s = %d: %.200s", path, code, body)
+		}
+	}
+	if code, body := get("/"); code != 200 || !strings.HasPrefix(body, "awmeterd: continuous energy attribution for volta") {
+		t.Fatalf("/ = %d: %s", code, body)
 	}
 	if code, _ := get("/nope"); code != http.StatusNotFound {
 		t.Fatalf("unknown path not 404")

@@ -1,6 +1,8 @@
-// Package cli holds the observability plumbing shared by the aw* commands:
-// run-scoped ledger installation, run-ID-correlated structured logging, and
-// atomic trace/ledger artifact writes. Every command wires it the same way —
+// Package cli holds the plumbing shared by the aw* commands: run-scoped
+// ledger installation, run-ID-correlated structured logging, atomic
+// trace/ledger artifact writes, the daemons' admin HTTP mux (AdminMux) and
+// model-zoo manifest loading. Every command wires the first three the same
+// way —
 //
 //	traceOut, ledgerOut := cli.Artifacts()
 //	flag.Parse()
