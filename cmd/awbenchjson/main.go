@@ -9,8 +9,8 @@
 // (keyed by name, procs suffix, and package) into one result carrying the
 // repeat count and, for every metric, the minimum (the stable point estimate
 // under scheduler noise) plus the min..max spread. The run environment block
-// records goos, goarch, cpu, and GOMAXPROCS. v1 documents (flat metric
-// numbers, no spread) are still readable by the compare mode.
+// records goos, goarch, cpu, and GOMAXPROCS. The compare mode reads v2
+// documents only.
 //
 // Compare mode gates CI on a checked-in baseline:
 //
@@ -34,30 +34,11 @@ import (
 )
 
 // metric is one aggregated measurement. Value is the minimum across -count
-// repeats; Min/Max record the observed spread. A bare JSON number (format v1)
-// unmarshals as a spreadless metric, so old baselines stay comparable.
+// repeats; Min/Max record the observed spread.
 type metric struct {
 	Value float64 `json:"value"`
 	Min   float64 `json:"min"`
 	Max   float64 `json:"max"`
-}
-
-func (m *metric) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] != '{' {
-		var v float64
-		if err := json.Unmarshal(b, &v); err != nil {
-			return err
-		}
-		*m = metric{Value: v, Min: v, Max: v}
-		return nil
-	}
-	type alias metric
-	var a alias
-	if err := json.Unmarshal(b, &a); err != nil {
-		return err
-	}
-	*m = metric(a)
-	return nil
 }
 
 type result struct {
@@ -100,7 +81,7 @@ func main() {
 // convert parses `go test -bench` text into a v2 document, aggregating
 // repeated lines (from -count=N) by benchmark identity.
 func convert(in io.Reader) (document, error) {
-	doc := document{Format: "accelwattch-bench-v2", Env: map[string]string{}, Results: []result{}}
+	doc := document{Format: formatV2, Env: map[string]string{}, Results: []result{}}
 	if gmp := os.Getenv("GOMAXPROCS"); gmp != "" {
 		doc.Env["gomaxprocs"] = gmp
 	}
@@ -270,17 +251,28 @@ func runCompare(args []string) int {
 	return 0
 }
 
+// formatV2 is the only document format convert writes and compare reads.
+const formatV2 = "accelwattch-bench-v2"
+
+// loadDoc reads a v2 document. Any other format, v1 included, is refused
+// before its metrics are decoded.
 func loadDoc(path string) (document, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return document{}, err
 	}
+	var head struct {
+		Format string `json:"format"`
+	}
+	if err := json.Unmarshal(b, &head); err != nil {
+		return document{}, fmt.Errorf("%s: %w", path, err)
+	}
+	if head.Format != formatV2 {
+		return document{}, fmt.Errorf("%s: format %q, want %q", path, head.Format, formatV2)
+	}
 	var doc document
 	if err := json.Unmarshal(b, &doc); err != nil {
 		return document{}, fmt.Errorf("%s: %w", path, err)
-	}
-	if !strings.HasPrefix(doc.Format, "accelwattch-bench-") {
-		return document{}, fmt.Errorf("%s: unrecognised format %q", path, doc.Format)
 	}
 	return doc, nil
 }

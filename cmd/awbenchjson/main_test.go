@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -133,24 +135,6 @@ func TestConvertRejectsEmptyInput(t *testing.T) {
 	}
 }
 
-// TestMetricUnmarshalV1Compat: v1 baselines store metrics as bare numbers;
-// they must read back as spreadless metrics so compare still works.
-func TestMetricUnmarshalV1Compat(t *testing.T) {
-	var m metric
-	if err := m.UnmarshalJSON([]byte("100450")); err != nil {
-		t.Fatal(err)
-	}
-	if m != (metric{100450, 100450, 100450}) {
-		t.Fatalf("v1 number parsed as %+v", m)
-	}
-	if err := m.UnmarshalJSON([]byte(`{"value":3300,"min":3300,"max":3500}`)); err != nil {
-		t.Fatal(err)
-	}
-	if m != (metric{3300, 3300, 3500}) {
-		t.Fatalf("v2 object parsed as %+v", m)
-	}
-}
-
 func benchDoc(ns, allocs float64) document {
 	return document{
 		Format: "accelwattch-bench-v2",
@@ -216,18 +200,42 @@ func TestCompareDocs(t *testing.T) {
 			t.Fatalf("missing benchmark not caught: %v", failures)
 		}
 	})
-	t.Run("v1 baseline compares against v2 run", func(t *testing.T) {
-		oldDoc := document{Format: "accelwattch-bench-v1"}
-		// Simulate a v1 read: spreadless metrics via the flexible unmarshal.
-		var m metric
-		if err := m.UnmarshalJSON([]byte("100450")); err != nil {
+}
+
+// TestLoadDocFormats: compare reads v2 documents only. A v1 baseline (bare
+// metric numbers) or any other format is refused with the file and the
+// format named, before its metrics are decoded.
+func TestLoadDocFormats(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		oldDoc.Results = []result{{Name: "BenchmarkEstimateBatch", Iterations: 11284,
-			Metrics: map[string]metric{"ns/op": m}}}
-		_, failures := compareDocs(oldDoc, benchDoc(100000, 0), 15, 0)
-		if len(failures) != 0 {
-			t.Fatalf("v1 baseline comparison failed: %v", failures)
+		return path
+	}
+	v2 := write("v2.json", `{"format":"accelwattch-bench-v2","results":[{"name":"BenchmarkX","count":5,"iterations":1000,"metrics":{"ns/op":{"value":3300,"min":3300,"max":3500}}}]}`)
+	doc, err := loadDoc(v2)
+	if err != nil {
+		t.Fatalf("v2 document refused: %v", err)
+	}
+	if got := doc.Results[0].Metrics["ns/op"]; got != (metric{3300, 3300, 3500}) {
+		t.Fatalf("v2 metric read as %+v", got)
+	}
+	for name, body := range map[string]string{
+		"v1.json":      `{"format":"accelwattch-bench-v1","results":[{"name":"BenchmarkX","iterations":11284,"metrics":{"ns/op":100450}}]}`,
+		"v3.json":      `{"format":"accelwattch-bench-v3","results":[]}`,
+		"foreign.json": `{"format":"something-else","results":[]}`,
+		"none.json":    `{"results":[]}`,
+	} {
+		path := write(name, body)
+		_, err := loadDoc(path)
+		if err == nil {
+			t.Errorf("%s accepted", name)
+			continue
 		}
-	})
+		if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "accelwattch-bench-v2") {
+			t.Errorf("%s: error %q names neither the file nor the wanted format", name, err)
+		}
+	}
 }
