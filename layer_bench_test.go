@@ -6,19 +6,21 @@ import (
 	"accelwattch/internal/config"
 	"accelwattch/internal/emu"
 	"accelwattch/internal/isa"
+	"accelwattch/internal/silicon"
 	"accelwattch/internal/sim"
 	"accelwattch/internal/trace"
+	"accelwattch/internal/tune"
 	"accelwattch/internal/ubench"
 	"accelwattch/internal/workloads"
 )
 
-// The per-layer benchmarks time the pipeline's first two layers on a fixed
-// list of Quick-scale Volta validation kernels, at both ISA levels: integer
-// and FP32 ALU work (binOpt, sobol), SFU-heavy code (mriq), global loads
-// and atomics (kmeans, histo), shared memory behind barriers (walsh, sgemm)
-// and divergent pointer chasing (b+tree). Each reports ns/warp-instr, the
-// unit perfbench's traced run reports as emu.ns_per_instr and
-// sim.ns_per_instr.
+// The per-layer benchmarks time the pipeline's first three layers on a
+// fixed list of Quick-scale Volta validation kernels, at both ISA levels
+// (silicon runs SASS only): integer and FP32 ALU work (binOpt, sobol),
+// SFU-heavy code (mriq), global loads and atomics (kmeans, histo), shared
+// memory behind barriers (walsh, sgemm) and divergent pointer chasing
+// (b+tree). Each reports ns/warp-instr, the unit perfbench's traced run
+// reports as emu.ns_per_instr and sim.ns_per_instr.
 var layerKernels = []string{"binOpt_K1", "sobol_K1", "mriq_K1", "kmeans_K1", "histo_K1",
 	"walsh_K1", "sgemm_K1", "b+tree_K1"}
 
@@ -111,6 +113,48 @@ func BenchmarkLayerSim(b *testing.B) {
 				b.Fatal(err)
 			}
 			instrs += r.WarpInstrs
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/warp-instr")
+}
+
+// BenchmarkLayerSilicon times silicon replay the way the tuning flow drives
+// it: each iteration builds a fresh device, runs every layer kernel's SASS
+// trace at each point of the default DVFS sweep, then profiles it once at
+// the base clock. Traces are built before the timer starts; ns/warp-instr
+// is per replayed record, so a trace counts once per clock point and once
+// for its profile.
+func BenchmarkLayerSilicon(b *testing.B) {
+	arch := config.Volta()
+	var kts []*trace.KernelTrace
+	for _, c := range layerCases(b) {
+		if c.kernel.Level == isa.SASS {
+			kts = append(kts, c.trace(b))
+		}
+	}
+	clocks := tune.DefaultSweep(arch.MinClockMHz+65, arch.MaxClockMHz).Points()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var instrs int64
+	for i := 0; i < b.N; i++ {
+		d, err := silicon.NewDevice(arch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, kt := range kts {
+			for _, mhz := range clocks {
+				if err := d.SetClock(mhz); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := d.Run(kt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			d.ResetClock()
+			if _, err := d.Profile(kt); err != nil {
+				b.Fatal(err)
+			}
+			instrs += warpInstrs(kt) * int64(len(clocks)+1)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/warp-instr")
