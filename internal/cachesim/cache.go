@@ -5,7 +5,10 @@
 // observes (e.g., the kmeans L1 miss-rate discussion in Section 7.1).
 package cachesim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache.
 type Config struct {
@@ -35,7 +38,7 @@ func (c Config) Validate() error {
 	return nil
 }
 
-const sectorBytes = 32
+const sectorShift = 5 // 32-byte sectors
 
 type line struct {
 	tag     uint64
@@ -67,9 +70,18 @@ func (s Stats) MissRate() float64 {
 // concurrent use; each timing model owns its caches.
 type Cache struct {
 	cfg   Config
-	sets  [][]line
-	clock uint64
-	stats Stats
+	lines []line // set-major: set i holds lines[i*Assoc : (i+1)*Assoc]
+	assoc int
+	nSets uint64
+	// Line and set from an address without dividing: the line size is a
+	// power of two, and so is the set count unless setPow2 is false (the
+	// Volta L2 has 3,072 sets), which keeps one modulo.
+	lineShift  uint
+	offsetMask uint64
+	setMask    uint64
+	setPow2    bool
+	clock      uint64
+	stats      Stats
 }
 
 // New builds a cache; the configuration must validate.
@@ -78,12 +90,16 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
-	sets := make([][]line, nSets)
-	backing := make([]line, nSets*cfg.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
-	return &Cache{cfg: cfg, sets: sets}, nil
+	return &Cache{
+		cfg:        cfg,
+		lines:      make([]line, nSets*cfg.Assoc),
+		assoc:      cfg.Assoc,
+		nSets:      uint64(nSets),
+		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		offsetMask: uint64(cfg.LineBytes - 1),
+		setMask:    uint64(nSets - 1),
+		setPow2:    nSets&(nSets-1) == 0,
+	}, nil
 }
 
 // Result describes one access outcome.
@@ -98,11 +114,16 @@ type Result struct {
 func (c *Cache) Access(addr uint64, write bool) Result {
 	c.clock++
 	c.stats.Accesses++
-	lineAddr := addr / uint64(c.cfg.LineBytes)
-	set := c.sets[lineAddr%uint64(len(c.sets))]
+	lineAddr := addr >> c.lineShift
+	si := lineAddr & c.setMask
+	if !c.setPow2 {
+		si = lineAddr % c.nSets
+	}
+	base := int(si) * c.assoc
+	set := c.lines[base : base+c.assoc]
 	sectorBit := uint8(0)
 	if c.cfg.Sectored {
-		sectorBit = 1 << ((addr % uint64(c.cfg.LineBytes)) / sectorBytes)
+		sectorBit = 1 << ((addr & c.offsetMask) >> sectorShift)
 	}
 
 	// Hit path.
@@ -157,11 +178,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Reset invalidates all lines and clears counters.
 func (c *Cache) Reset() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i] = line{}
-		}
-	}
+	clear(c.lines)
 	c.clock = 0
 	c.stats = Stats{}
 }
