@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 
+	"accelwattch/internal/cachesim"
 	"accelwattch/internal/config"
 	"accelwattch/internal/trace"
 )
@@ -17,6 +18,9 @@ import (
 type Device struct {
 	arch     *config.Arch
 	t        *truth
+	l1cfg    cachesim.Config
+	l2cfg    cachesim.Config
+	memo     *replayMemo
 	clockMHz float64
 	tempC    float64
 }
@@ -31,7 +35,32 @@ func NewDevice(arch *config.Arch) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Device{arch: arch, t: t, clockMHz: arch.BaseClockMHz, tempC: 65}, nil
+	l2cfg := cachesim.Config{
+		SizeBytes: arch.L2KB * 1024, LineBytes: arch.L2LineBytes,
+		Assoc: arch.L2Assoc, Sectored: true, WriteAllocate: true,
+	}
+	l1cfg := cachesim.Config{
+		SizeBytes: arch.L1KBPerSM * 1024, LineBytes: arch.L1LineBytes,
+		Assoc: arch.L1Assoc, Sectored: true, WriteAllocate: false,
+	}
+	if err := l2cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("silicon: L2 model: %w", err)
+	}
+	if err := l1cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("silicon: L1 model: %w", err)
+	}
+	d := &Device{arch: arch, t: t, l1cfg: l1cfg, l2cfg: l2cfg,
+		memo: &replayMemo{traces: make(map[*trace.KernelTrace]*traceMemo)}}
+	return d.Replica(), nil
+}
+
+// Replica returns another device of the same architecture at the base
+// clock and 65C. It shares this device's replay memo, so a trace replayed
+// on either is simulated through the memory hierarchy once. A device's
+// clock and temperature are its own: give each goroutine its own replica.
+func (d *Device) Replica() *Device {
+	return &Device{arch: d.arch, t: d.t, l1cfg: d.l1cfg, l2cfg: d.l2cfg, memo: d.memo,
+		clockMHz: d.arch.BaseClockMHz, tempC: 65}
 }
 
 // Arch returns the device's architecture description.
@@ -106,16 +135,22 @@ type Counters struct {
 // Run replays one or more kernel traces concurrently (CTAs interleaved
 // round-robin across SMs, as a multi-stream launch would) and returns the
 // power measurement. Traces must be at the SASS level: real silicon does
-// not execute PTX.
+// not execute PTX. A single trace's replay is memoized by pointer (see
+// replayMemo), so a trace must not be modified once it has run.
 func (d *Device) Run(kts ...*trace.KernelTrace) (*Measurement, error) {
-	acct, err := d.replay(kts)
+	fp, cycles, err := d.replay(kts)
 	if err != nil {
 		return nil, err
 	}
-	truePower := d.power(acct)
+	return d.measurement(kts, fp, cycles), nil
+}
+
+// measurement synthesises the meter's reading of a replay.
+func (d *Device) measurement(kts []*trace.KernelTrace, fp *footprint, cycles float64) *Measurement {
+	truePower := d.power(fp, cycles)
 	m := &Measurement{
-		Cycles:   acct.cycles,
-		RuntimeS: acct.cycles / (d.clockMHz * 1e6),
+		Cycles:   cycles,
+		RuntimeS: cycles / (d.clockMHz * 1e6),
 		ClockMHz: d.clockMHz,
 	}
 	// Synthesise NVML samples: 24 samples at 50-100 Hz over a looped
@@ -130,24 +165,29 @@ func (d *Device) Run(kts ...*trace.KernelTrace) (*Measurement, error) {
 		sum += s
 	}
 	m.AvgPowerW = sum / nSamples
-	return m, nil
+	return m
 }
 
 // Profile replays the traces and returns the hardware performance counters,
 // as Nsight Compute would (serialising concurrent kernels, like Nsight,
 // does not change these aggregate counters in our model).
 func (d *Device) Profile(kts ...*trace.KernelTrace) (*Counters, error) {
-	acct, err := d.replay(kts)
+	fp, cycles, err := d.replay(kts)
 	if err != nil {
 		return nil, err
 	}
-	c := acct.counters
-	c.ElapsedCycles = acct.cycles
-	c.ActiveSMs = acct.activeSMs
+	return profile(fp, cycles), nil
+}
+
+// profile fills the counter block of a replay.
+func profile(fp *footprint, cycles float64) *Counters {
+	c := fp.counters
+	c.ElapsedCycles = cycles
+	c.ActiveSMs = fp.activeSMs
 	if c.InstIssued > 0 {
 		c.AvgLanes = float64(c.ThreadInst) / float64(c.InstIssued)
 	}
-	return &c, nil
+	return &c
 }
 
 // noiseSeed derives a deterministic seed from the run so measurements are
@@ -161,14 +201,14 @@ func (d *Device) noiseSeed(kts []*trace.KernelTrace) int64 {
 	return int64(h.Sum64())
 }
 
-// power converts a replay accounting into true total watts at the current
+// power converts a replay's footprint and cycles into true total watts at the current
 // clock and temperature. Dynamic energy scales with V^2 (the f factor
 // arrives through runtime); static power scales with V and exponentially
 // with temperature; constant power does not scale.
-func (d *Device) power(a *replayAcct) float64 {
+func (d *Device) power(a *footprint, cycles float64) float64 {
 	v := d.arch.Voltage(d.clockMHz) / d.arch.BaseVoltage()
 	tempF := math.Exp(d.t.tempCoeff * (d.tempC - 65))
-	timeS := a.cycles / (d.clockMHz * 1e6)
+	timeS := cycles / (d.clockMHz * 1e6)
 
 	p := d.t.constW
 	if a.activeSMs == 0 {
@@ -188,7 +228,7 @@ func (d *Device) power(a *replayAcct) float64 {
 func (d *Device) MeasureIdle() *Measurement {
 	rng := rand.New(rand.NewSource(d.noiseSeed(nil) ^ 0x1d1e))
 	m := &Measurement{ClockMHz: d.clockMHz}
-	true0 := d.power(&replayAcct{cycles: 1})
+	true0 := d.power(&footprint{}, 1)
 	const nSamples = 24
 	sum := 0.0
 	for i := 0; i < nSamples; i++ {

@@ -3,6 +3,7 @@ package silicon
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"accelwattch/internal/cachesim"
 	"accelwattch/internal/isa"
@@ -27,70 +28,157 @@ import (
 //   - memory-bound kernels are limited by DRAM bytes per core cycle, so
 //     their runtime in cycles shrinks at low clocks and total power
 //     flattens, as real DVFS sweeps show.
-type replayAcct struct {
-	cycles       float64
+//
+// Only the memory latencies and the DRAM bound depend on the clock, so a
+// replay takes two passes. footprint walks every record through the caches
+// and DRAM rows, charges energy, fills the counters and the throughput
+// bounds, and gives each memory record a latency class. warpTime walks the
+// scoreboard at one clock, reading each memory record's latency from its
+// class. A device memoizes both per trace (replayMemo).
+
+// footprint is the clock-independent part of a replay.
+type footprint struct {
 	dynEnergyPJ  float64
 	activeSMs    int
 	poweredLanes float64 // sum over active SMs of powered (union) lanes
 	counters     Counters
+	// bound is the largest cycle bound that does not depend on the clock:
+	// per-scheduler issue, per-unit slots and L1 transactions on each SM,
+	// and L2 transactions per slice.
+	bound     float64
+	dramBytes float64
+	// classes holds one latency class per memory record, in trace, warp
+	// and record order.
+	classes []uint8
 }
 
-type smState struct {
-	issue    [4]float64
-	fuSlots  [4][9]float64 // per scheduler, per isa.Unit
-	l1Trans  float64
-	maxWarpT float64
-	laneSum  float64 // lane-weighted issue count (temporal lane gating)
-	issued   float64
-	used     bool
+// smLoad is one SM's share of a footprint.
+type smLoad struct {
+	issue   [4]float64
+	fuSlots [4][9]float64 // per scheduler, per isa.Unit
+	l1Trans float64
+	laneSum int64 // lane-weighted issue count (temporal lane gating)
+	issued  int64
+	used    bool
+	l1      *cachesim.Cache // built on the SM's first global access
 }
 
-// replay runs the golden model over one or more concurrent kernel traces.
-func (d *Device) replay(kts []*trace.KernelTrace) (*replayAcct, error) {
+// Latency classes. A memory record's class names the latencies whose
+// maximum the record exposes; warpTime evaluates them at its clock.
+// Classes 1 to 32 are a shared access's bank passes.
+const (
+	classOp     = 0    // the opcode's own latency: an empty mask, a global store
+	classConst  = 33   // constant cache
+	classTex    = 34   // texture unit
+	classGlobal = 0x80 // a global load or atomic, ORed with its sector outcomes
+)
+
+// Sector outcomes of a global load or atomic, one bit each.
+const (
+	outL1Hit     = 1 << iota
+	outFillL2Hit // sector fill on a resident L1 line, served by the L2
+	outFillDRAM  // sector fill that misses the L2
+	outMissL2Hit // L1 miss served by the L2
+	outMissDRAM  // L1 miss that misses the L2
+	outAtomL2Hit // atomics resolve at the L2
+	outAtomDRAM
+	numOutcomes = iota
+)
+
+// replayMemo holds each single trace's footprint, and its warp time at
+// every clock it was replayed at. It is keyed by trace pointer, so a trace
+// must not change after its first replay; traces are immutable once emu
+// returns them. A device and its replicas share one memo, which is safe
+// for concurrent use.
+type replayMemo struct {
+	mu     sync.Mutex
+	traces map[*trace.KernelTrace]*traceMemo
+}
+
+type traceMemo struct {
+	once sync.Once
+	fp   *footprint
+
+	mu    sync.Mutex
+	warpT map[float64]float64 // by core clock, MHz
+}
+
+func (m *replayMemo) get(kt *trace.KernelTrace) *traceMemo {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.traces[kt]
+	if !ok {
+		e = &traceMemo{warpT: make(map[float64]float64)}
+		m.traces[kt] = e
+	}
+	return e
+}
+
+// replay returns the footprint of one or more concurrent kernel traces and
+// their elapsed core cycles at the device's clock. A single trace goes
+// through the memo; concurrent traces take both passes every time.
+func (d *Device) replay(kts []*trace.KernelTrace) (*footprint, float64, error) {
 	for _, kt := range kts {
 		if kt.Kernel.Level != isa.SASS {
-			return nil, fmt.Errorf("silicon: kernel %s is %v; real silicon executes SASS only",
+			return nil, 0, fmt.Errorf("silicon: kernel %s is %v; real silicon executes SASS only",
 				kt.Kernel.Name, kt.Kernel.Level)
 		}
 	}
-	a := &replayAcct{}
+	if len(kts) != 1 {
+		fp := d.footprint(kts)
+		return fp, d.cycles(fp, d.warpTime(kts, fp.classes, d.latencies())), nil
+	}
+	e := d.memo.get(kts[0])
+	e.once.Do(func() { e.fp = d.footprint(kts) })
+	e.mu.Lock()
+	warpT, ok := e.warpT[d.clockMHz]
+	e.mu.Unlock()
+	if !ok {
+		warpT = d.warpTime(kts, e.fp.classes, d.latencies())
+		e.mu.Lock()
+		e.warpT[d.clockMHz] = warpT
+		e.mu.Unlock()
+	}
+	return e.fp, d.cycles(e.fp, warpT), nil
+}
+
+// cycles combines a footprint's clock-independent bound, the warp time and
+// the DRAM-bandwidth bound at the device's clock into elapsed core cycles.
+func (d *Device) cycles(fp *footprint, warpT float64) float64 {
+	c := max(warpT, fp.bound)
+	bytesPerCycle := d.arch.DRAMGBps * 1e9 / (d.clockMHz * 1e6)
+	if b := fp.dramBytes / bytesPerCycle; b > c {
+		c = b
+	}
+	if c < 1 {
+		c = 1
+	}
+	return c
+}
+
+// footprint walks one or more concurrent kernel traces through everything
+// that does not depend on the clock. Warps go to SMs round-robin by global
+// CTA index across all the traces, as a multi-stream launch would, and to
+// schedulers round-robin within the SM.
+func (d *Device) footprint(kts []*trace.KernelTrace) *footprint {
 	t := d.t
 	arch := d.arch
-	latScale := d.clockMHz / arch.BaseClockMHz
-
-	sms := make([]smState, arch.NumSMs)
-	l2cfg := cachesim.Config{
-		SizeBytes: arch.L2KB * 1024, LineBytes: arch.L2LineBytes,
-		Assoc: arch.L2Assoc, Sectored: true, WriteAllocate: true,
-	}
-	l1cfg := cachesim.Config{
-		SizeBytes: arch.L1KBPerSM * 1024, LineBytes: arch.L1LineBytes,
-		Assoc: arch.L1Assoc, Sectored: true, WriteAllocate: false,
-	}
-	l2, err := cachesim.New(l2cfg)
-	if err != nil {
-		return nil, fmt.Errorf("silicon: L2 model: %w", err)
-	}
-	if err := l1cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("silicon: L1 model: %w", err)
-	}
-	l1s := make(map[int]*cachesim.Cache)
-	l1For := func(sm int) *cachesim.Cache {
-		c, ok := l1s[sm]
-		if !ok {
-			c, _ = cachesim.New(l1cfg) // validated above; cannot fail
-			l1s[sm] = c
+	nMem := 0
+	for _, kt := range kts {
+		for wi := range kt.Warps {
+			nMem += len(kt.Warps[wi].Mem)
 		}
-		return c
 	}
-	rowState := make([]uint64, arch.DRAMChannels)
-	for i := range rowState {
-		rowState[i] = ^uint64(0)
+	fp := &footprint{classes: make([]uint8, 0, nMem)}
+	sms := make([]smLoad, arch.NumSMs)
+	l2, _ := cachesim.New(d.l2cfg) // validated by NewDevice
+	rows := make([]uint64, arch.DRAMChannels)
+	for i := range rows {
+		rows[i] = ^uint64(0)
 	}
-	var dramBytes float64
+	var units [9]int64 // warp instructions per isa.Unit
+	var threadInst int64
 
-	// Assign warps to SMs round-robin by global CTA index across all
-	// concurrent kernels, and to schedulers round-robin within the SM.
 	warpIdxInSM := make([]int, arch.NumSMs)
 	ctaBase := 0
 	for _, kt := range kts {
@@ -103,45 +191,22 @@ func (d *Device) replay(kts []*trace.KernelTrace) (*replayAcct, error) {
 			sched := warpIdxInSM[sm] % 4
 			warpIdxInSM[sm]++
 
-			var wb [isa.NumRegs]float64
-			tIssue := -1.0
 			mi := 0
 			for _, r := range wt.Recs {
 				in := &code[r.PC]
 				op := in.Op
 				info := op.Info()
 				lanes := bits.OnesCount32(r.Mask)
-				st.laneSum += float64(lanes)
+				st.laneSum += int64(lanes)
 				st.issued++
 
-				// Issue point: program order plus RAW dependencies.
-				start := tIssue + 1
-				for s := 0; s < int(in.NSrc); s++ {
-					if w := wb[in.Srcs[s]]; w > start {
-						start = w
-					}
-				}
-
-				// Resolve latency and energy.
-				lat := t.lat[op]
-				var acc trace.Access
 				if info.IsMem {
-					acc = kt.Access(wt.Mem[mi], r.Mask)
+					class := uint8(classOp)
+					if lanes > 0 {
+						class = d.memAccess(fp, st, in, kt.Access(wt.Mem[mi], r.Mask), l2, rows)
+					}
+					fp.classes = append(fp.classes, class)
 					mi++
-				}
-				switch {
-				case op == isa.OpNANOSLEEP:
-					lat = float64(in.Imm) * latScale
-				case info.IsMem && lanes > 0:
-					lat = d.memAccess(a, st, in, acc, l1For(sm), l2, rowState, &dramBytes, latScale)
-				}
-
-				if info.WritesReg && !in.SemNop {
-					wb[in.Dst] = start + lat
-				}
-				tIssue = start
-				if e := start + lat; e > st.maxWarpT {
-					st.maxWarpT = e
 				}
 
 				// Throughput accounting.
@@ -155,206 +220,290 @@ func (d *Device) replay(kts []*trace.KernelTrace) (*replayAcct, error) {
 				if info.WritesReg {
 					rfOperands++
 				}
-				a.dynEnergyPJ += t.opEnergyPJ[op]*ops +
+				fp.dynEnergyPJ += t.opEnergyPJ[op]*ops +
 					t.regFilePJ*rfOperands*ops +
 					t.ibufPJ + t.schedPJ + t.pipePJ +
 					t.l1iPJ*t.l1iPerInstr
 
-				// Hardware counters.
-				c := &a.counters
-				c.InstIssued++
-				c.ThreadInst += int64(lanes)
-				switch info.Unit {
-				case isa.UnitALU:
-					c.InstINT++
-				case isa.UnitFPU:
-					c.InstFP32++
-				case isa.UnitDPU:
-					c.InstFP64++
-				case isa.UnitSFU:
-					c.InstSFU++
-				case isa.UnitTensor:
-					c.InstTensor++
-				case isa.UnitTex:
-					c.InstTex++
-				case isa.UnitMem:
-					c.InstLDST++
-				default:
-					c.InstCtrl++
-				}
+				units[info.Unit]++
+				threadInst += int64(lanes)
 			}
 		}
 		ctaBase += kt.Kernel.Grid.Count()
 	}
 
-	// Per-SM time bounds.
-	var chipCycles float64
+	// Per-SM throughput bounds and lane gating; fold the L1 statistics.
+	c := &fp.counters
 	for i := range sms {
 		st := &sms[i]
 		if !st.used {
 			continue
 		}
-		a.activeSMs++
+		fp.activeSMs++
 		// Lanes power-gate when inactive, so the leaking lane count is
 		// the time-weighted average of the active mask (Section 4.3).
 		if st.issued > 0 {
-			a.poweredLanes += st.laneSum / st.issued
+			fp.poweredLanes += float64(st.laneSum) / float64(st.issued)
 		}
-		smT := st.maxWarpT
-		for s := 0; s < 4; s++ {
-			if st.issue[s] > smT {
-				smT = st.issue[s]
-			}
-			for u := range st.fuSlots[s] {
-				if st.fuSlots[s][u] > smT {
-					smT = st.fuSlots[s][u]
-				}
+		b := st.l1Trans / 4
+		for s := range st.issue {
+			b = max(b, st.issue[s])
+			for _, slots := range st.fuSlots[s] {
+				b = max(b, slots)
 			}
 		}
-		if b := st.l1Trans / 4; b > smT {
-			smT = b
+		fp.bound = max(fp.bound, b)
+		if st.l1 != nil {
+			s := st.l1.Stats()
+			c.L1Accesses += s.Accesses
+			c.L1Misses += s.Misses + s.SectorMisses
 		}
-		if smT > chipCycles {
-			chipCycles = smT
-		}
 	}
-
-	// Chip-level memory bounds (in core cycles at the current clock).
-	l2Bound := float64(l2.Stats().Accesses) / float64(arch.L2Slices)
-	if l2Bound > chipCycles {
-		chipCycles = l2Bound
-	}
-	bytesPerCycle := arch.DRAMGBps * 1e9 / (d.clockMHz * 1e6)
-	if b := dramBytes / bytesPerCycle; b > chipCycles {
-		chipCycles = b
-	}
-
-	if chipCycles < 1 {
-		chipCycles = 1
-	}
-	a.cycles = chipCycles
-
-	// Fold cache statistics into the counter block.
-	var l1a, l1m uint64
-	for _, c := range l1s {
-		s := c.Stats()
-		l1a += s.Accesses
-		l1m += s.Misses + s.SectorMisses
-	}
-	a.counters.L1Accesses = l1a
-	a.counters.L1Misses = l1m
 	l2s := l2.Stats()
-	a.counters.L2Accesses = l2s.Accesses
-	a.counters.L2Misses = l2s.Misses + l2s.SectorMisses
-	a.counters.DramReads = l2s.Misses + l2s.SectorMisses
-	a.counters.DramWrites = l2s.Writebacks
-	return a, nil
+	fp.bound = max(fp.bound, float64(l2s.Accesses)/float64(arch.L2Slices))
+
+	c.InstIssued = 0
+	for _, n := range units {
+		c.InstIssued += n
+	}
+	c.ThreadInst = threadInst
+	c.InstINT = units[isa.UnitALU]
+	c.InstFP32 = units[isa.UnitFPU]
+	c.InstFP64 = units[isa.UnitDPU]
+	c.InstSFU = units[isa.UnitSFU]
+	c.InstTensor = units[isa.UnitTensor]
+	c.InstTex = units[isa.UnitTex]
+	c.InstLDST = units[isa.UnitMem]
+	c.InstCtrl = units[isa.UnitNone] + units[isa.UnitCtrl]
+	c.L2Accesses = l2s.Accesses
+	c.L2Misses = l2s.Misses + l2s.SectorMisses
+	c.DramReads = l2s.Misses + l2s.SectorMisses
+	c.DramWrites = l2s.Writebacks
+	return fp
 }
 
-// memAccess resolves one warp-level memory instruction through the memory
-// hierarchy, charging energy and returning the exposed latency in cycles.
-func (d *Device) memAccess(a *replayAcct, st *smState, in *isa.Instr, acc trace.Access,
-	l1, l2 *cachesim.Cache, rowState []uint64, dramBytes *float64, latScale float64) float64 {
+// memAccess resolves one warp-level memory instruction with active lanes
+// through the memory hierarchy, charging energy, and returns its latency
+// class.
+func (d *Device) memAccess(fp *footprint, st *smLoad, in *isa.Instr, acc trace.Access,
+	l2 *cachesim.Cache, rows []uint64) uint8 {
 
 	t := d.t
 	var buf [32]uint64
 	switch in.Space {
 	case isa.SpaceShared:
-		passes := float64(acc.BankConflicts())
-		if passes < 1 {
-			passes = 1
-		}
-		a.dynEnergyPJ += t.sharedPJ * passes
-		a.counters.SharedAccesses += uint64(passes)
-		return t.latShared + (passes-1)*2
+		passes := max(acc.BankConflicts(), 1)
+		fp.dynEnergyPJ += t.sharedPJ * float64(passes)
+		fp.counters.SharedAccesses += uint64(passes)
+		return uint8(passes)
 
 	case isa.SpaceConst:
-		a.dynEnergyPJ += t.constPJ
-		a.counters.ConstAccesses++
-		return t.latConst
+		fp.dynEnergyPJ += t.constPJ
+		fp.counters.ConstAccesses++
+		return classConst
 
 	case isa.SpaceTexture:
-		n := float64(len(acc.Blocks(&buf, 32)))
-		a.dynEnergyPJ += t.texPJ * n
-		a.counters.TexAccesses += uint64(n)
-		return t.latTex
+		n := len(acc.Blocks(&buf, 32))
+		fp.dynEnergyPJ += t.texPJ * float64(n)
+		fp.counters.TexAccesses += uint64(n)
+		return classTex
 
 	case isa.SpaceGlobal:
+		if st.l1 == nil {
+			st.l1, _ = cachesim.New(d.l1cfg) // validated by NewDevice
+		}
 		write := in.Op == isa.OpSTG
 		atomic := in.Op == isa.OpATOMG
-		maxLat := 0.0
+		var out uint8
 		for _, sector := range acc.Blocks(&buf, 32) {
 			st.l1Trans++
-			var lat float64
-			switch {
-			case atomic:
+			if atomic {
 				// Atomics resolve at the L2.
 				res := l2.Access(sector, true)
-				a.dynEnergyPJ += 2*t.l2PJ + t.nocPJ
-				a.counters.L2Accesses += 0 // counted by cache stats
-				lat = t.latL2Hit*latScale + 20
-				if !res.Hit {
-					lat += t.latDRAM * latScale
-					d.dramAccess(a, sector, rowState, dramBytes, false)
+				fp.dynEnergyPJ += 2*t.l2PJ + t.nocPJ
+				if res.Hit {
+					out |= outAtomL2Hit
+				} else {
+					out |= outAtomDRAM
+					d.dramAccess(fp, sector, rows, false)
+				}
+				continue
+			}
+			res := st.l1.Access(sector, write)
+			fp.dynEnergyPJ += t.l1PJ
+			switch {
+			case res.Hit:
+				out |= outL1Hit
+			case res.SectorFill:
+				fp.dynEnergyPJ += t.sectorFillPJ + t.l2PJ + t.nocPJ
+				if l2.Access(sector, false).Hit {
+					out |= outFillL2Hit
+				} else {
+					out |= outFillDRAM
+					d.dramAccess(fp, sector, rows, false)
 				}
 			default:
-				res := l1.Access(sector, write)
-				a.dynEnergyPJ += t.l1PJ
-				switch {
-				case res.Hit:
-					lat = t.latL1Hit
-				case res.SectorFill:
-					a.dynEnergyPJ += t.sectorFillPJ + t.l2PJ + t.nocPJ
-					lat = t.latSector * latScale
-					l2res := l2.Access(sector, false)
-					if !l2res.Hit {
-						lat += (t.latDRAM - t.latL2Hit) * latScale
-						d.dramAccess(a, sector, rowState, dramBytes, false)
-					}
-				default:
-					// Line (sector) miss: goes to L2 over the NoC.
-					a.dynEnergyPJ += t.l2PJ + t.nocPJ
-					l2res := l2.Access(sector, write)
-					lat = t.latL2Hit * latScale
-					if !l2res.Hit {
-						lat = t.latDRAM * latScale
-						d.dramAccess(a, sector, rowState, dramBytes, write)
-					}
-					if l2res.Writeback {
-						a.dynEnergyPJ += t.dramWrPJ + t.memCtrlPJ
-						*dramBytes += 32
-						a.counters.DramWrites++
-					}
+				// Line (sector) miss: goes to L2 over the NoC.
+				fp.dynEnergyPJ += t.l2PJ + t.nocPJ
+				l2res := l2.Access(sector, write)
+				if l2res.Hit {
+					out |= outMissL2Hit
+				} else {
+					out |= outMissDRAM
+					d.dramAccess(fp, sector, rows, write)
+				}
+				if l2res.Writeback {
+					fp.dynEnergyPJ += t.dramWrPJ + t.memCtrlPJ
+					fp.dramBytes += 32
 				}
 			}
-			if write {
-				// Stores do not stall the warp.
-				lat = t.lat[in.Op]
-			}
-			if lat > maxLat {
-				maxLat = lat
-			}
 		}
-		return maxLat
+		if write {
+			// Stores do not stall the warp.
+			return classOp
+		}
+		return classGlobal | out
 	}
-	return t.lat[in.Op]
+	return classOp
 }
 
 // dramAccess charges DRAM access energy with a per-channel open-row model.
-func (d *Device) dramAccess(a *replayAcct, sector uint64, rowState []uint64, dramBytes *float64, write bool) {
+func (d *Device) dramAccess(fp *footprint, sector uint64, rows []uint64, write bool) {
 	t := d.t
-	ch := (sector / 256) % uint64(len(rowState))
+	ch := (sector / 256) % uint64(len(rows))
 	row := sector / t.dramRowBytes
-	if rowState[ch] != row {
-		rowState[ch] = row
-		a.dynEnergyPJ += t.dramActPJ
+	if rows[ch] != row {
+		rows[ch] = row
+		fp.dynEnergyPJ += t.dramActPJ
 	}
 	if write {
-		a.dynEnergyPJ += t.dramWrPJ + t.memCtrlPJ
+		fp.dynEnergyPJ += t.dramWrPJ + t.memCtrlPJ
 	} else {
-		a.dynEnergyPJ += t.dramRdPJ + t.memCtrlPJ
+		fp.dynEnergyPJ += t.dramRdPJ + t.memCtrlPJ
 	}
-	*dramBytes += 32
+	fp.dramBytes += 32
+}
+
+// latencies are the exposed latencies at one clock.
+type latencies struct {
+	scale float64      // core clock over the base clock
+	class [256]float64 // by latency class (classOp reads the opcode's)
+}
+
+// latencies evaluates every latency class at the device's clock. Each
+// sector outcome keeps the expression the single-pass replay used, and a
+// class's latency is the maximum over its outcomes at this clock: the L1
+// hit latency does not scale, so below about 360 MHz on Volta it outlasts
+// a scaled sector fill, and one base-clock latency per record, scaled,
+// would be wrong.
+func (d *Device) latencies() *latencies {
+	t := d.t
+	s := d.clockMHz / d.arch.BaseClockMHz
+	lt := &latencies{scale: s}
+	for p := 1; p <= 32; p++ {
+		lt.class[p] = t.latShared + (float64(p)-1)*2
+	}
+	lt.class[classConst] = t.latConst
+	lt.class[classTex] = t.latTex
+	out := [numOutcomes]float64{
+		t.latL1Hit,
+		t.latSector * s,
+		t.latSector*s + (t.latDRAM-t.latL2Hit)*s,
+		t.latL2Hit * s,
+		t.latDRAM * s,
+		t.latL2Hit*s + 20,
+		t.latL2Hit*s + 20 + t.latDRAM*s,
+	}
+	for m := 0; m < 1<<numOutcomes; m++ {
+		lat := 0.0
+		for b, l := range out {
+			if m>>b&1 != 0 && l > lat {
+				lat = l
+			}
+		}
+		lt.class[classGlobal|m] = lat
+	}
+	return lt
+}
+
+// pcTiming is what warpTime reads of one instruction. An unused source
+// reads slot zeroReg of the scoreboard, which stays 0, and an instruction
+// that writes no register writes slot sinkReg, which nothing reads, so the
+// walk needs no branch on either.
+type pcTiming struct {
+	lat  float64 // the opcode's latency at this clock; a NANOSLEEP's duration
+	srcs [3]uint8
+	dst  uint8
+	mem  bool // has a latency class
+}
+
+const (
+	zeroReg = isa.NumRegs
+	sinkReg = isa.NumRegs + 1
+)
+
+// warpTime walks every warp's records with a register scoreboard, each
+// issuing in program order once its sources are ready, and returns the
+// latest completion of any record. Memory records read their latency
+// from classes, in footprint order, through lt.
+func (d *Device) warpTime(kts []*trace.KernelTrace, classes []uint8, lt *latencies) float64 {
+	var pcs []pcTiming
+	var warpT float64
+	// Indexed by uint8, so no access needs a bounds check; a warp uses
+	// only the slots below sinkReg+1.
+	var wb [256]float64
+	ci := 0
+	for _, kt := range kts {
+		pcs = pcs[:0]
+		for i := range kt.Kernel.Code {
+			in := &kt.Kernel.Code[i]
+			info := in.Op.Info()
+			p := pcTiming{lat: d.t.lat[in.Op], srcs: [3]uint8{zeroReg, zeroReg, zeroReg},
+				dst: sinkReg, mem: info.IsMem}
+			for s := 0; s < int(in.NSrc); s++ {
+				p.srcs[s] = uint8(in.Srcs[s])
+			}
+			if info.WritesReg && !in.SemNop {
+				p.dst = uint8(in.Dst)
+			}
+			if in.Op == isa.OpNANOSLEEP {
+				p.lat = float64(in.Imm) * lt.scale
+			}
+			pcs = append(pcs, p)
+		}
+		for wi := range kt.Warps {
+			clear(wb[:sinkReg+1])
+			// start is never below 0, so the zero slot never raises it.
+			tIssue := -1.0
+			for _, r := range kt.Warps[wi].Recs {
+				p := &pcs[r.PC]
+				start := tIssue + 1
+				if w := wb[p.srcs[0]]; w > start {
+					start = w
+				}
+				if w := wb[p.srcs[1]]; w > start {
+					start = w
+				}
+				if w := wb[p.srcs[2]]; w > start {
+					start = w
+				}
+				lat := p.lat
+				if p.mem {
+					if c := classes[ci]; c != classOp {
+						lat = lt.class[c]
+					}
+					ci++
+				}
+				end := start + lat
+				wb[p.dst] = end
+				tIssue = start
+				if end > warpT {
+					warpT = end
+				}
+			}
+		}
+	}
+	return warpT
 }
 
 // passes returns the functional-unit occupancy (in issue slots) of one warp

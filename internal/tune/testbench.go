@@ -108,16 +108,14 @@ func NewTestbench(arch *config.Arch, sc ubench.Scale) (*Testbench, error) {
 }
 
 // Replicate builds a worker-private copy of the testbench for the execution
-// engine: a fresh device and simulator (both deterministic, so replicas
-// measure exactly what the original would), sharing the artifact store and
-// quarantine state. A fault-injected meter is replicated around the new
-// device with shared fault state; any other custom meter is shared as-is
-// and must be safe for concurrent use (or the caller must keep workers=1).
+// engine: a device replica and a fresh simulator (both deterministic, so
+// replicas measure exactly what the original would), sharing the artifact
+// store, quarantine state and the device's replay memo. A fault-injected
+// meter is replicated around the new device with shared fault state; any
+// other custom meter is shared as-is and must be safe for concurrent use
+// (or the caller must keep workers=1).
 func (tb *Testbench) Replicate() (*Testbench, error) {
-	dev, err := silicon.NewDevice(tb.Arch)
-	if err != nil {
-		return nil, err
-	}
+	dev := tb.Device.Replica()
 	s, err := sim.New(tb.Arch)
 	if err != nil {
 		return nil, err
