@@ -76,22 +76,30 @@ func (tb *Testbench) hwActivity(w Workload, v Variant) (core.Activity, error) {
 		return core.Activity{}, err
 	}
 
-	var a core.Activity
-	var opCounts [isa.NumOps]int64
-	var warpInstrs, laneSum int64
+	// Census warp instructions and active lanes per opcode, then fold them
+	// into the components once. Every partial sum is an integer below
+	// 2^53, so the float components hold the bits a per-record sum gave.
+	var opCounts, opLanes [isa.NumOps]int64
 	for wi := range kt.Warps {
 		for _, r := range kt.Warps[wi].Recs {
 			op := kt.Instr(r).Op
-			lanes := int64(r.ActiveLanes())
-			a.Counts[core.OpComponent(op)] += float64(lanes)
-			a.Counts[core.CompIBUF]++
-			a.Counts[core.CompSCHED]++
-			a.Counts[core.CompPIPE]++
 			opCounts[op]++
-			warpInstrs++
-			laneSum += lanes
+			opLanes[op] += int64(r.ActiveLanes())
 		}
 	}
+	var a core.Activity
+	var warpInstrs, laneSum int64
+	for op, n := range opCounts {
+		if n == 0 {
+			continue
+		}
+		a.Counts[core.OpComponent(isa.Op(op))] += float64(opLanes[op])
+		warpInstrs += n
+		laneSum += opLanes[op]
+	}
+	a.Counts[core.CompIBUF] += float64(warpInstrs)
+	a.Counts[core.CompSCHED] += float64(warpInstrs)
+	a.Counts[core.CompPIPE] += float64(warpInstrs)
 	// No hardware counters exist for the register file or the L1
 	// instruction cache (shaded rows of Table 1): their activity is zero
 	// in the HW-driven vector.
