@@ -49,9 +49,9 @@ func NewDevice(arch *config.Arch) (*Device, error) {
 	if err := l1cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("silicon: L1 model: %w", err)
 	}
-	d := &Device{arch: arch, t: t, l1cfg: l1cfg, l2cfg: l2cfg,
-		memo: &replayMemo{traces: make(map[*trace.KernelTrace]*traceMemo)}}
-	return d.Replica(), nil
+	return &Device{arch: arch, t: t, l1cfg: l1cfg, l2cfg: l2cfg,
+		memo:     &replayMemo{traces: make(map[*trace.KernelTrace]*traceMemo)},
+		clockMHz: arch.BaseClockMHz, tempC: 65}, nil
 }
 
 // Replica returns another device of the same architecture at the base
@@ -59,8 +59,9 @@ func NewDevice(arch *config.Arch) (*Device, error) {
 // on either is simulated through the memory hierarchy once. A device's
 // clock and temperature are its own: give each goroutine its own replica.
 func (d *Device) Replica() *Device {
-	return &Device{arch: d.arch, t: d.t, l1cfg: d.l1cfg, l2cfg: d.l2cfg, memo: d.memo,
-		clockMHz: d.arch.BaseClockMHz, tempC: 65}
+	r := *d
+	r.clockMHz, r.tempC = d.arch.BaseClockMHz, 65
+	return &r
 }
 
 // Arch returns the device's architecture description.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"sync"
 	"testing"
 
 	"accelwattch/internal/config"
@@ -15,9 +16,13 @@ import (
 
 // replayMemSrc exercises every latency class: global loads that miss L1
 // and L2 (CTA 0) or miss L1 and hit L2 (later CTAs, which read the same
-// lines), sector fills, an L1-hit chain, stores, atomics, shared loads with
-// 32, 2 and 1 bank passes, texture and constant loads, NANOSLEEP, and a
-// guarded load whose mask is empty in all but each CTA's first warp.
+// lines), sector fills, L1 hits, a warp-wide load that misses a line and
+// fills its other sectors, a load whose even lanes hit and odd lanes fill
+// (an L1 hit and a scaled fill in one record), stores, atomics, shared
+// loads with 32, 2 and 1 bank passes, texture and constant loads,
+// NANOSLEEP, and a guarded load whose mask is empty in all but each CTA's
+// first warp. Memory reads 0, so adding a loaded value to R2 keeps the
+// addresses while it chains each load's latency into the warp's time.
 const replayMemSrc = `
 .kernel replay_mem
 .grid 16
@@ -31,6 +36,9 @@ const replayMemSrc = `
     SHL R10, R1, 7
     SHL R15, R1, 2
     SHL R18, R1, 3
+    SHL R21, R1, 2
+    AND R23, R1, 1
+    IMUL R23, R23, 96
     MOVI R3, 6
     ISETP.lt P1, R1, 32
 loop:
@@ -38,10 +46,16 @@ loop:
     LDG R5, [R2+32]
     LDG R6, [R2+0]
     IADD R2, R2, R6
+    IADD R24, R2, R23
+    LDG R25, [R24+0]
+    IADD R2, R2, R25
+    LDG R22, [R21+2097152]
+    IADD R2, R2, R22
     IADD R7, R4, R5
     STG [R14+64], R7
     IADD R14, R14, 262144
     ATOMG R9, [R1+1048576], R7
+    IADD R2, R2, R9
     LDS R11, [R10+0]
     LDS R19, [R18+0]
     STS [R15+0], R11
@@ -73,6 +87,44 @@ loop:
     ISETP.gt P0, R3, 1
     IADD R3, R3, -1
 @P0 BRA loop
+    EXIT
+`
+
+// replayCrossoverSrc puts the low-clock crossover on the critical path.
+// CTA 0 loads all four sectors of its lanes' lines, which leaves them in
+// the L2. CTA 1, on another SM, then chains three loads whose even lanes
+// hit a resident sector and whose odd lanes fill the next one from the
+// L2: below 361 MHz each exposes the unscaled L1 hit, not the scaled
+// fill, and CTA 1's chain is the kernel's warp time.
+const replayCrossoverSrc = `
+.kernel replay_crossover
+.grid 2
+.block 32
+    S2R R1, tid.x
+    S2R R30, ctaid.x
+    SHL R2, R1, 7
+    ISETP.eq P2, R30, 0
+@P2 BRA preload
+    AND R23, R1, 1
+    SHL R23, R23, 5
+    MOV R26, R23
+    LDG R4, [R2+0]
+    IADD R2, R2, R4
+    MOVI R3, 3
+loop:
+    IADD R24, R2, R23
+    LDG R25, [R24+0]
+    IADD R2, R2, R25
+    IADD R23, R23, R26
+    ISETP.gt P0, R3, 1
+    IADD R3, R3, -1
+@P0 BRA loop
+    EXIT
+preload:
+    LDG R4, [R2+0]
+    LDG R5, [R2+32]
+    LDG R6, [R2+64]
+    LDG R7, [R2+96]
     EXIT
 `
 
@@ -195,11 +247,12 @@ func TestReplayMatchesOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("L2=%dKB", arch.L2KB), func(t *testing.T) {
 			mem := replayTrace(t, replayMemSrc)
 			stores := replayTrace(t, replayStoresSrc)
+			cross := replayTrace(t, replayCrossoverSrc)
 			runFirst := mustNewDevice(t, arch)
 			for _, mhz := range replayClocks(arch) {
 				ref := mustNewDevice(t, arch)
 				setClock(t, ref, mhz)
-				for _, kts := range [][]*trace.KernelTrace{{mem}, {stores}, {mem, stores}} {
+				for _, kts := range [][]*trace.KernelTrace{{mem}, {stores}, {cross}, {mem, stores}} {
 					name := fmt.Sprintf("%.0f MHz, %d trace(s) from %s", mhz, len(kts), kts[0].Kernel.Name)
 					wantM := oracleRun(t, ref, kts...)
 					wantC := oracleProfile(t, ref, kts...)
@@ -267,6 +320,18 @@ func TestReplayKernelsCoverLatencyClasses(t *testing.T) {
 	if want := uint8(1<<numOutcomes - 1); outcomes != want {
 		t.Errorf("sector outcomes seen %07b, want %07b", outcomes, want)
 	}
+	// The records whose latency crosses over at low clocks: an unscaled
+	// L1 hit next to a scaled fill.
+	cross := mustNewDevice(t, config.Volta()).footprint([]*trace.KernelTrace{replayTrace(t, replayCrossoverSrc)})
+	n := 0
+	for _, c := range cross.classes {
+		if c == classGlobal|outL1Hit|outFillL2Hit {
+			n++
+		}
+	}
+	if n == 0 {
+		t.Error("replay_crossover has no record that saw an L1 hit and a fill served by the L2")
+	}
 	for _, c := range []uint8{classOp, 1, 2, 32, classConst, classTex} {
 		if !seen[c] {
 			t.Errorf("no memory record of latency class %d", c)
@@ -293,23 +358,28 @@ func TestReplayKernelsCoverLatencyClasses(t *testing.T) {
 
 // scaledBaseLatencies is the shortcut the latency classes exist to avoid:
 // each record's latency taken at the base clock and scaled to this one.
+// Even with a record that saw only L1 hits left unscaled, a record that
+// saw an L1 hit and a fill gets the fill's scaled latency, though below
+// 361 MHz the unscaled hit outlasts it.
 func scaledBaseLatencies(d *Device) *latencies {
 	lb := d.Replica().latencies() // a replica starts at the base clock
 	lt := d.latencies()
 	for c := classGlobal; c < len(lt.class); c++ {
-		lt.class[c] = lb.class[c] * lt.scale
+		if c != classGlobal|outL1Hit {
+			lt.class[c] = lb.class[c] * lt.scale
+		}
 	}
 	return lt
 }
 
 // The oracle comparison must catch a replay that scales one base-clock
-// latency per record: at 135 MHz the L1-hit chain of replay_mem runs at
-// the unscaled hit latency, so its cycles, runtime and power differ. At
-// the base clock the shortcut is exact.
+// latency per record: at 135 and 200 MHz replay_crossover's chain runs
+// through records that saw an L1 hit and a fill, so its cycles, runtime
+// and power differ. At the base clock the shortcut is exact.
 func TestReplayOracleRejectsScaledBaseLatency(t *testing.T) {
 	arch := config.Volta()
-	kts := []*trace.KernelTrace{replayTrace(t, replayMemSrc)}
-	for _, mhz := range []float64{135, arch.BaseClockMHz} {
+	kts := []*trace.KernelTrace{replayTrace(t, replayCrossoverSrc)}
+	for _, mhz := range []float64{135, 200, arch.BaseClockMHz} {
 		d := mustNewDevice(t, arch)
 		setClock(t, d, mhz)
 		want := oracleRun(t, d, kts...)
@@ -323,4 +393,57 @@ func TestReplayOracleRejectsScaledBaseLatency(t *testing.T) {
 			t.Errorf("%.0f MHz: a scaled base-clock latency per record matches the oracle; the test cannot tell it from the latency classes", mhz)
 		}
 	}
+}
+
+// Replicas share the memo across goroutines: each reads the same traces at
+// the oracle test's clocks, in its own order, while the others fill the
+// memo, and every reading must match the oracle.
+func TestReplayMemoSharedByReplicas(t *testing.T) {
+	arch := smallCacheVolta()
+	kts := []*trace.KernelTrace{replayTrace(t, replayMemSrc), replayTrace(t, replayStoresSrc),
+		replayTrace(t, replayCrossoverSrc)}
+	clocks := replayClocks(arch)
+	type key struct{ trace, clock int }
+	wantM := map[key]*Measurement{}
+	wantC := map[key]*Counters{}
+	ref := mustNewDevice(t, arch)
+	for ti, kt := range kts {
+		for ci, mhz := range clocks {
+			setClock(t, ref, mhz)
+			wantM[key{ti, ci}] = oracleRun(t, ref, kt)
+			wantC[key{ti, ci}] = oracleProfile(t, ref, kt)
+		}
+	}
+	primary := mustNewDevice(t, arch)
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		d := primary.Replica()
+		wg.Add(1)
+		go func(w int, d *Device) {
+			defer wg.Done()
+			for i := 0; i < len(kts)*len(clocks); i++ {
+				j := (i + w*3) % (len(kts) * len(clocks))
+				k := key{j % len(kts), j / len(kts)}
+				if err := d.SetClock(clocks[k.clock]); err != nil {
+					t.Error(err)
+					return
+				}
+				m, err := d.Run(kts[k.trace])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				c, err := d.Profile(kts[k.trace])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				what := fmt.Sprintf("worker %d, %s at %.0f MHz", w, kts[k.trace].Kernel.Name, clocks[k.clock])
+				expectBits(t, what+": Run", wantM[k], m)
+				expectBits(t, what+": Profile", wantC[k], c)
+			}
+		}(w, d)
+	}
+	wg.Wait()
 }
