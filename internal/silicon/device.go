@@ -50,8 +50,7 @@ func NewDevice(arch *config.Arch) (*Device, error) {
 		return nil, fmt.Errorf("silicon: L1 model: %w", err)
 	}
 	return &Device{arch: arch, t: t, l1cfg: l1cfg, l2cfg: l2cfg,
-		memo:     &replayMemo{traces: make(map[*trace.KernelTrace]*traceMemo)},
-		clockMHz: arch.BaseClockMHz, tempC: 65}, nil
+		memo: newReplayMemo(), clockMHz: arch.BaseClockMHz, tempC: 65}, nil
 }
 
 // Replica returns another device of the same architecture at the base
@@ -202,10 +201,10 @@ func (d *Device) noiseSeed(kts []*trace.KernelTrace) int64 {
 	return int64(h.Sum64())
 }
 
-// power converts a replay's footprint and cycles into true total watts at the current
-// clock and temperature. Dynamic energy scales with V^2 (the f factor
-// arrives through runtime); static power scales with V and exponentially
-// with temperature; constant power does not scale.
+// power converts a replay's footprint and cycles into true total watts at
+// the current clock and temperature. Dynamic energy scales with V^2 (the f
+// factor arrives through runtime); static power scales with V and
+// exponentially with temperature; constant power does not scale.
 func (d *Device) power(a *footprint, cycles float64) float64 {
 	v := d.arch.Voltage(d.clockMHz) / d.arch.BaseVoltage()
 	tempF := math.Exp(d.t.tempCoeff * (d.tempC - 65))

@@ -3,9 +3,9 @@ package silicon
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"accelwattch/internal/cachesim"
+	"accelwattch/internal/engine"
 	"accelwattch/internal/isa"
 	"accelwattch/internal/trace"
 )
@@ -57,8 +57,8 @@ type smLoad struct {
 	issue   [4]float64
 	fuSlots [4][9]float64 // per scheduler, per isa.Unit
 	l1Trans float64
-	laneSum int64 // lane-weighted issue count (temporal lane gating)
-	issued  int64
+	laneSum float64 // lane-weighted issue count (temporal lane gating)
+	issued  float64
 	used    bool
 	l1      *cachesim.Cache // built on the SM's first global access
 }
@@ -88,30 +88,23 @@ const (
 // replayMemo holds each single trace's footprint, and its warp time at
 // every clock it was replayed at. It is keyed by trace pointer, so a trace
 // must not change after its first replay; traces are immutable once emu
-// returns them. A device and its replicas share one memo, which is safe
-// for concurrent use.
+// returns them. A device and its replicas share one memo; engine.Store
+// makes it safe for concurrent use and computes each entry once.
 type replayMemo struct {
-	mu     sync.Mutex
-	traces map[*trace.KernelTrace]*traceMemo
+	footprints *engine.Store[*trace.KernelTrace, *footprint]
+	warpTimes  *engine.Store[clockedTrace, float64]
 }
 
-type traceMemo struct {
-	once sync.Once
-	fp   *footprint
-
-	mu    sync.Mutex
-	warpT map[float64]float64 // by core clock, MHz
+type clockedTrace struct {
+	kt       *trace.KernelTrace
+	clockMHz float64
 }
 
-func (m *replayMemo) get(kt *trace.KernelTrace) *traceMemo {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.traces[kt]
-	if !ok {
-		e = &traceMemo{warpT: make(map[float64]float64)}
-		m.traces[kt] = e
+func newReplayMemo() *replayMemo {
+	return &replayMemo{
+		footprints: engine.NewStore[*trace.KernelTrace, *footprint](),
+		warpTimes:  engine.NewStore[clockedTrace, float64](),
 	}
-	return e
 }
 
 // replay returns the footprint of one or more concurrent kernel traces and
@@ -128,18 +121,14 @@ func (d *Device) replay(kts []*trace.KernelTrace) (*footprint, float64, error) {
 		fp := d.footprint(kts)
 		return fp, d.cycles(fp, d.warpTime(kts, fp.classes, d.latencies())), nil
 	}
-	e := d.memo.get(kts[0])
-	e.once.Do(func() { e.fp = d.footprint(kts) })
-	e.mu.Lock()
-	warpT, ok := e.warpT[d.clockMHz]
-	e.mu.Unlock()
-	if !ok {
-		warpT = d.warpTime(kts, e.fp.classes, d.latencies())
-		e.mu.Lock()
-		e.warpT[d.clockMHz] = warpT
-		e.mu.Unlock()
-	}
-	return e.fp, d.cycles(e.fp, warpT), nil
+	// Neither pass can fail, so the stores never hold an error.
+	fp, _ := d.memo.footprints.Do(kts[0], func() (*footprint, error) {
+		return d.footprint(kts), nil
+	})
+	warpT, _ := d.memo.warpTimes.Do(clockedTrace{kts[0], d.clockMHz}, func() (float64, error) {
+		return d.warpTime(kts, fp.classes, d.latencies()), nil
+	})
+	return fp, d.cycles(fp, warpT), nil
 }
 
 // cycles combines a footprint's clock-independent bound, the warp time and
@@ -176,9 +165,6 @@ func (d *Device) footprint(kts []*trace.KernelTrace) *footprint {
 	for i := range rows {
 		rows[i] = ^uint64(0)
 	}
-	var units [9]int64 // warp instructions per isa.Unit
-	var threadInst int64
-
 	warpIdxInSM := make([]int, arch.NumSMs)
 	ctaBase := 0
 	for _, kt := range kts {
@@ -197,7 +183,7 @@ func (d *Device) footprint(kts []*trace.KernelTrace) *footprint {
 				op := in.Op
 				info := op.Info()
 				lanes := bits.OnesCount32(r.Mask)
-				st.laneSum += int64(lanes)
+				st.laneSum += float64(lanes)
 				st.issued++
 
 				if info.IsMem {
@@ -225,8 +211,28 @@ func (d *Device) footprint(kts []*trace.KernelTrace) *footprint {
 					t.ibufPJ + t.schedPJ + t.pipePJ +
 					t.l1iPJ*t.l1iPerInstr
 
-				units[info.Unit]++
-				threadInst += int64(lanes)
+				// Hardware counters.
+				c := &fp.counters
+				c.InstIssued++
+				c.ThreadInst += int64(lanes)
+				switch info.Unit {
+				case isa.UnitALU:
+					c.InstINT++
+				case isa.UnitFPU:
+					c.InstFP32++
+				case isa.UnitDPU:
+					c.InstFP64++
+				case isa.UnitSFU:
+					c.InstSFU++
+				case isa.UnitTensor:
+					c.InstTensor++
+				case isa.UnitTex:
+					c.InstTex++
+				case isa.UnitMem:
+					c.InstLDST++
+				default:
+					c.InstCtrl++
+				}
 			}
 		}
 		ctaBase += kt.Kernel.Grid.Count()
@@ -243,7 +249,7 @@ func (d *Device) footprint(kts []*trace.KernelTrace) *footprint {
 		// Lanes power-gate when inactive, so the leaking lane count is
 		// the time-weighted average of the active mask (Section 4.3).
 		if st.issued > 0 {
-			fp.poweredLanes += float64(st.laneSum) / float64(st.issued)
+			fp.poweredLanes += st.laneSum / st.issued
 		}
 		b := st.l1Trans / 4
 		for s := range st.issue {
@@ -262,19 +268,6 @@ func (d *Device) footprint(kts []*trace.KernelTrace) *footprint {
 	l2s := l2.Stats()
 	fp.bound = max(fp.bound, float64(l2s.Accesses)/float64(arch.L2Slices))
 
-	c.InstIssued = 0
-	for _, n := range units {
-		c.InstIssued += n
-	}
-	c.ThreadInst = threadInst
-	c.InstINT = units[isa.UnitALU]
-	c.InstFP32 = units[isa.UnitFPU]
-	c.InstFP64 = units[isa.UnitDPU]
-	c.InstSFU = units[isa.UnitSFU]
-	c.InstTensor = units[isa.UnitTensor]
-	c.InstTex = units[isa.UnitTex]
-	c.InstLDST = units[isa.UnitMem]
-	c.InstCtrl = units[isa.UnitNone] + units[isa.UnitCtrl]
 	c.L2Accesses = l2s.Accesses
 	c.L2Misses = l2s.Misses + l2s.SectorMisses
 	c.DramReads = l2s.Misses + l2s.SectorMisses
