@@ -1,8 +1,11 @@
 package accelwattch
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"sort"
+	"strings"
 	"testing"
 
 	"accelwattch/internal/core"
@@ -86,6 +89,11 @@ func canonicalEvents(t *testing.T, evs []obs.Event) []string {
 	return lines
 }
 
+// chaosLedgerDigest is the SHA-256 of the canonical event set (sorted
+// lines joined by newlines) of the chaos-profile (seed 99) tune and
+// validation in TestLedgerEventSetDeterministic.
+const chaosLedgerDigest = "7439962b515ce91344166a2854a7c37acdb9b5f1bc9ca31d9cf56081f5a77311"
+
 // TestLedgerEventSetDeterministic extends the bit-identical parallelism
 // contract to the flight recorder: the *set* of ledger events from a tune +
 // four-variant validation at workers=8 must equal workers=1 exactly, even
@@ -112,6 +120,12 @@ func TestLedgerEventSetDeterministic(t *testing.T) {
 		if seq[i] != par[i] {
 			t.Errorf("event sets diverge at %d:\n  seq %s\n  par %s", i, seq[i], par[i])
 		}
+	}
+	// The event set must also reproduce the checked-in digest, so a change
+	// that moved the chaos path identically at both worker counts fails.
+	sum := sha256.Sum256([]byte(strings.Join(seq, "\n")))
+	if got := hex.EncodeToString(sum[:]); got != chaosLedgerDigest {
+		t.Errorf("canonical event set of %d events: digest %s, want %s", len(seq), got, chaosLedgerDigest)
 	}
 
 	// The run must have exercised the full event vocabulary this pipeline

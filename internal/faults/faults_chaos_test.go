@@ -17,8 +17,10 @@ package faults_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"accelwattch/internal/config"
@@ -179,13 +181,16 @@ func TestChaosSuite(t *testing.T) {
 }
 
 // vetoMeter fails every Run touching a chosen kernel, deterministically —
-// the reliable way to force a quarantine end to end.
+// the reliable way to force a quarantine end to end. It counts every Run
+// call, vetoed or not.
 type vetoMeter struct {
 	faults.Meter
 	substr string
+	runs   atomic.Int64
 }
 
 func (v *vetoMeter) Run(kts ...*trace.KernelTrace) (*silicon.Measurement, error) {
+	v.runs.Add(1)
 	for _, kt := range kts {
 		if strings.Contains(kt.Kernel.Name, v.substr) {
 			return nil, &faults.TransientError{Op: "run", Point: kt.Kernel.Name}
@@ -194,46 +199,55 @@ func (v *vetoMeter) Run(kts ...*trace.KernelTrace) (*silicon.Measurement, error)
 	return v.Meter.Run(kts...)
 }
 
-// TestQuarantineSurvivesDeadBench kills one microbenchmark's measurements
-// outright: tuning must complete over the survivors and report the
-// quarantined workload by name.
+// TestQuarantineSurvivesDeadBench kills one workload's measurements
+// outright, one workload per tuning stage: tuning must complete over the
+// survivors and report exactly the pinned quarantine list after exactly
+// the pinned number of meter runs. The run count pins which operating
+// points each stage measures, so a stage that stopped measuring a
+// workload's remaining points after its first failure would read lower.
 func TestQuarantineSurvivesDeadBench(t *testing.T) {
-	benches, err := ubench.Suite(config.Volta(), chaosScale)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		stage, victim string
+		quarantined   []string
+		runs          int64
+	}{
+		{"constant power", "dvfs_fp_add", []string{
+			"dvfs_fp_add: 3 failed operating points",
+		}, 1835},
+		{"divergence", "div_INT_MUL_y01", []string{
+			"div-INT_MUL: y=1 static fit failed: tune: static fit INT_MUL y=1: only 0 points survived: tune: measurement failed",
+			"div_INT_MUL_y01: 3 failed operating points",
+		}, 1795},
+		{"idle SM and temperature", "idle_intmul_80sm", []string{
+			"idlesm-intmul: full-occupancy measurement failed: tune: measuring idle_intmul_80sm at 1417 MHz: all 5 attempts failed: faults: transient run error at idle_intmul_80sm (attempt 0): tune: measurement failed",
+			"temperature-ladder: measurement at 65C failed: all 5 attempts failed: faults: transient run error at idle_intmul_80sm (attempt 0)",
+		}, 1705},
+		// A suite bench outside the DVFS, divergence and occupancy
+		// ladders, so only the dynamic-tuning stage loses it.
+		{"dynamic", "occ_ffma_20sm", []string{
+			"occ_ffma_20sm: measurement failed; dropped from tuning set",
+		}, 1695},
+	} {
+		t.Run(tc.victim, func(t *testing.T) {
+			tb, err := tune.NewTestbench(config.Volta(), chaosScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vm := &vetoMeter{Meter: tb.Device, substr: tc.victim}
+			tb.UseMeter(vm, tune.HardenedMeterPolicy())
+			res, err := tune.Tune(tb, tb.DefaultOptions())
+			if err != nil {
+				t.Fatalf("Tune with dead %s workload %q: %v", tc.stage, tc.victim, err)
+			}
+			if !slices.Equal(res.Quarantined, tc.quarantined) {
+				t.Errorf("quarantine report:\n got %q\nwant %q", res.Quarantined, tc.quarantined)
+			}
+			if got := vm.runs.Load(); got != tc.runs {
+				t.Errorf("meter runs: got %d, want %d", got, tc.runs)
+			}
+			modelFinite(t, res.Model(tune.SASSSIM))
+		})
 	}
-	// Pick a suite bench that is not part of the DVFS/divergence/idle
-	// ladders, so only the dynamic-tuning stage loses it.
-	victim := ""
-	for _, b := range benches {
-		if strings.Contains(b.Name, "fpu") || strings.Contains(b.Name, "ffma") {
-			victim = b.Name
-			break
-		}
-	}
-	if victim == "" {
-		victim = benches[len(benches)-1].Name
-	}
-
-	tb, err := tune.NewTestbench(config.Volta(), chaosScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb.UseMeter(&vetoMeter{Meter: tb.Device, substr: victim}, tune.HardenedMeterPolicy())
-	res, err := tune.Tune(tb, tb.DefaultOptions())
-	if err != nil {
-		t.Fatalf("Tune with dead bench %q: %v", victim, err)
-	}
-	found := false
-	for _, q := range res.Quarantined {
-		if strings.Contains(q, victim) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("dead bench %q not in quarantine report %v", victim, res.Quarantined)
-	}
-	modelFinite(t, res.Model(tune.SASSSIM))
 }
 
 // TestCleanPathBitIdentical is the acceptance criterion that matters most:

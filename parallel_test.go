@@ -2,6 +2,7 @@ package accelwattch
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -133,7 +134,25 @@ func TestParallelTuneBitIdenticalChaos(t *testing.T) {
 	if ss != ps {
 		t.Errorf("fault stats diverged:\n  seq %+v\n  par %+v", ss, ps)
 	}
+
+	// Both counts must also reproduce the checked-in outcome, so a change
+	// that moved the chaos path identically at every worker count fails.
+	if ss != chaosFaultStats {
+		t.Errorf("fault stats:\n got %+v\nwant %+v", ss, chaosFaultStats)
+	}
+	if q := seq.Quarantined(); !slices.Equal(q, chaosQuarantined) {
+		t.Errorf("quarantine report:\n got %q\nwant %q", q, chaosQuarantined)
+	}
 }
+
+// chaosFaultStats and chaosQuarantined are the fault load and quarantine
+// report of the chaos-profile (seed 99) tune and validation above: the
+// hardened policy absorbs every injected fault, so nothing is quarantined.
+var (
+	chaosFaultStats = FaultStats{Reads: 1805, TransientErrors: 58, StuckReads: 11,
+		Spikes: 441, DroppedSamples: 4275}
+	chaosQuarantined = []string{}
+)
 
 // TestParallelValidationFinite guards the satellite NaN contract end to end:
 // no validation aggregate may come back ±Inf even at high parallelism.
