@@ -174,6 +174,18 @@ func BenchmarkAblationUnconstrainedQP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	samples := make([]tune.Sample, len(benches))
+	for i, bench := range benches {
+		w := tune.FromBench(bench)
+		m, err := tb.Measure(w, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		samples[i] = tune.Sample{Name: bench.Name, PowerW: m.AvgPowerW}
+		if samples[i].Activity, err = tb.Activity(w, SASSSIM); err != nil {
+			b.Fatal(err)
+		}
+	}
 	skeleton := *sess.Model(SASSSIM)
 	for i := range skeleton.Scale {
 		skeleton.Scale[i] = 0
@@ -183,7 +195,7 @@ func BenchmarkAblationUnconstrainedQP(b *testing.B) {
 	var violations int
 	for it := 0; it < b.N; it++ {
 		opts := qp.DefaultOptions()
-		best, _, err := tb.TuneDynamic(benches, tune.SASSSIM, &skeleton, opts)
+		best, _, err := tb.TuneDynamic(samples, tune.SASSSIM, &skeleton, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -193,7 +205,7 @@ func BenchmarkAblationUnconstrainedQP(b *testing.B) {
 		// widening every ratio beyond reach.
 		saved := core.OrderConstraints
 		core.OrderConstraints = nil
-		bestU, _, err := tb.TuneDynamic(benches, tune.SASSSIM, &skeleton, opts)
+		bestU, _, err := tb.TuneDynamic(samples, tune.SASSSIM, &skeleton, opts)
 		core.OrderConstraints = saved
 		if err != nil {
 			b.Fatal(err)

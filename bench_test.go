@@ -63,7 +63,7 @@ func BenchmarkFig2DVFSConstantPower(b *testing.B) {
 	var res *tune.ConstPowerResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = tb.EstimateConstPower(sweep)
+		res, err = tb.Sequential().EstimateConstPower(sweep)
 		if err != nil {
 			b.Fatal(err)
 		}

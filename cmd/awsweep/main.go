@@ -148,28 +148,25 @@ func sweepDivergence(ex *tune.Exec) error {
 	tb := ex.TB()
 	fmt.Println("== Figure 4: power vs active threads per warp ==")
 	mixes := []core.MixCategory{core.MixIntMul, core.MixIntFP, core.MixIntFPSFU}
-	var tasks []func(*tune.Testbench) error
+	var pts []tune.Point
 	for _, mix := range mixes {
 		for y := 4; y <= 32; y += 4 {
-			b := ubench.DivergenceBench(tb.Arch, tb.Scale, mix, y)
-			tasks = append(tasks, func(r *tune.Testbench) error {
-				_, err := r.Measure(tune.FromBench(b), 0)
-				return err
-			})
+			pts = append(pts, tune.Point{W: tune.FromBench(ubench.DivergenceBench(tb.Arch, tb.Scale, mix, y))})
 		}
 	}
-	if err := ex.Warm(tasks); err != nil {
+	rs, err := ex.MeasureAll(pts)
+	if err != nil {
 		return err
 	}
 	for _, mix := range mixes {
 		fmt.Printf("%s:", mix)
 		for y := 4; y <= 32; y += 4 {
-			b := ubench.DivergenceBench(tb.Arch, tb.Scale, mix, y)
-			m, err := tb.Measure(tune.FromBench(b), 0)
-			if err != nil {
-				return err
+			r := rs[0]
+			rs = rs[1:]
+			if r.Err != nil {
+				return r.Err
 			}
-			fmt.Printf("  y=%d:%.1fW", y, m.AvgPowerW)
+			fmt.Printf("  y=%d:%.1fW", y, r.M.AvgPowerW)
 		}
 		fmt.Println()
 	}
@@ -183,24 +180,19 @@ func sweepIdleSM(ex *tune.Exec) error {
 	fmt.Println("== Figure 5: power vs idle SM count (INT_MUL) ==")
 	n := tb.Arch.NumSMs
 	ladder := []int{n, 3 * n / 4, n / 2, n / 4, n / 8, 1}
-	var tasks []func(*tune.Testbench) error
-	for _, active := range ladder {
-		b := ubench.OccupancyBench(tb.Arch, tb.Scale, active)
-		tasks = append(tasks, func(r *tune.Testbench) error {
-			_, err := r.Measure(tune.FromBench(b), 0)
-			return err
-		})
+	pts := make([]tune.Point, len(ladder))
+	for i, active := range ladder {
+		pts[i].W = tune.FromBench(ubench.OccupancyBench(tb.Arch, tb.Scale, active))
 	}
-	if err := ex.Warm(tasks); err != nil {
+	rs, err := ex.MeasureAll(pts)
+	if err != nil {
 		return err
 	}
-	for _, active := range ladder {
-		b := ubench.OccupancyBench(tb.Arch, tb.Scale, active)
-		m, err := tb.Measure(tune.FromBench(b), 0)
-		if err != nil {
-			return err
+	for i, active := range ladder {
+		if rs[i].Err != nil {
+			return rs[i].Err
 		}
-		fmt.Printf("  idle=%2d active=%2d: %.1f W\n", n-active, active, m.AvgPowerW)
+		fmt.Printf("  idle=%2d active=%2d: %.1f W\n", n-active, active, rs[i].M.AvgPowerW)
 	}
 	fmt.Println()
 	return nil

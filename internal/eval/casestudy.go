@@ -30,16 +30,11 @@ func constMultFor(arch *config.Arch) float64 {
 	return 1.0
 }
 
-// CaseStudy retargets the tuned Volta models to a new architecture and
-// validates against that architecture's silicon: technology scaling is
+// CaseStudyContext retargets the tuned Volta models to a new architecture
+// and validates against that architecture's silicon: technology scaling is
 // applied when nodes differ (Pascal, 16 nm), constant power is adjusted for
-// Turing, and traces are re-extracted on the target GPU (Section 7.1).
-func CaseStudy(tuned *tune.Result, target *config.Arch, sc ubench.Scale) (*CaseStudyResult, error) {
-	return CaseStudyContext(context.Background(), tuned, target, sc, 1)
-}
-
-// CaseStudyContext is CaseStudy with cancellation and an execution-engine
-// worker count; results are identical at every worker count.
+// Turing, and traces are re-extracted on the target GPU (Section 7.1). ctx
+// cancels the run; results are identical at every worker count.
 func CaseStudyContext(ctx context.Context, tuned *tune.Result, target *config.Arch, sc ubench.Scale, workers int) (*CaseStudyResult, error) {
 	tb, err := tune.NewTestbench(target, sc)
 	if err != nil {
@@ -156,7 +151,7 @@ type GPUWattchComparison struct {
 func CompareGPUWattch(tb *tune.Testbench, legacy *core.Model, suite []workloads.Kernel) (*GPUWattchComparison, error) {
 	out := &GPUWattchComparison{ConstPlusStaticW: legacy.ConstW}
 	for _, v := range []tune.Variant{tune.SASSSIM, tune.PTXSIM} {
-		r, err := Validate(tb, legacy, v, suite)
+		r, err := ValidateExec(tb.Sequential(), legacy, v, suite)
 		if err != nil {
 			return nil, err
 		}

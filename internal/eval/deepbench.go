@@ -20,18 +20,13 @@ type DeepBenchResult struct {
 	EstimatedW float64
 }
 
-// DeepBenchStudy runs the Section 7.2 case study: for each benchmark, each
-// concurrent kernel group is replayed on silicon and on the simulator, and
-// group powers combine energy-weighted into the benchmark's average power.
-func DeepBenchStudy(tb *tune.Testbench, model *core.Model, suite []workloads.DeepBenchmark) ([]DeepBenchResult, float64, error) {
-	return DeepBenchStudyExec(tb.Sequential(), model, suite)
-}
-
-// DeepBenchStudyExec is DeepBenchStudy with the per-benchmark replays fanned
-// out across the engine's replica pool. Silicon and simulator replays are
-// deterministic functions of the kernel groups (device noise is keyed by
-// operating point, not call order), so the figures are identical at every
-// worker count.
+// DeepBenchStudyExec runs the Section 7.2 case study: for each benchmark,
+// each concurrent kernel group is replayed on silicon and on the simulator,
+// and group powers combine energy-weighted into the benchmark's average
+// power. The per-benchmark replays fan out across the engine's replica
+// pool. Silicon and simulator replays are deterministic functions of the
+// kernel groups (device noise is keyed by operating point, not call order),
+// so the figures are identical at every worker count.
 func DeepBenchStudyExec(ex *tune.Exec, model *core.Model, suite []workloads.DeepBenchmark) ([]DeepBenchResult, float64, error) {
 	// One table resolution for the whole study; estimators are read-only
 	// after construction, so sharing one across the worker fan-out is safe.

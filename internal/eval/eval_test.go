@@ -177,7 +177,7 @@ func TestValidateAllMeasuresEachKernelOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := ValidateAll(tb, tuned, suite)
+	all, err := ValidateAllExec(tb.Sequential(), tuned, suite)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,35 +115,24 @@ func inSuite(k *workloads.Kernel, v tune.Variant) bool {
 	}
 }
 
-// Validate runs the model over the validation suite under one variant and
-// compares against silicon measurements (the Figure 7 experiment).
-func Validate(tb *tune.Testbench, model *core.Model, v tune.Variant, suite []workloads.Kernel) (*ValidationResult, error) {
-	return ValidateExec(tb.Sequential(), model, v, suite)
-}
-
-// ValidateExec is Validate through an execution engine: the per-kernel
-// measurements and activity extractions warm across the worker pool, then
-// the sequential comparison replays against the memoised artifacts, so the
-// result is identical at every worker count.
+// ValidateExec runs the model over the validation suite under one variant
+// and compares against silicon measurements (the Figure 7 experiment). Each
+// launched kernel is measured and its activity extracted across the
+// engine's pool first; the comparison then reads those samples in suite
+// order, so the result is identical at every worker count.
 func ValidateExec(ex *tune.Exec, model *core.Model, v tune.Variant, suite []workloads.Kernel) (*ValidationResult, error) {
 	sp := ex.StageSpan("eval/validate").WithDetail(v.String())
 	defer sp.End()
-	var tasks []func(*tune.Testbench) error
+	var launched []tune.Workload
 	for i := range suite {
-		k := &suite[i]
-		if !inSuite(k, v) || k.SyntheticActivity != nil {
-			continue
+		if k := &suite[i]; inSuite(k, v) && k.SyntheticActivity == nil {
+			launched = append(launched, tune.Workload{Name: k.Name, Kernel: k.Kernel, Setup: k.Setup})
 		}
-		w := tune.Workload{Name: k.Name, Kernel: k.Kernel, Setup: k.Setup}
-		tasks = append(tasks, func(r *tune.Testbench) error {
-			if _, err := r.Measure(w, 0); err != nil {
-				return err
-			}
-			_, err := r.Activity(w, v)
-			return err
-		})
 	}
-	if err := ex.Warm(tasks); err != nil {
+	samples, err := tune.Map(ex, launched, func(r *tune.Testbench, w tune.Workload) (tune.Sample, error) {
+		return sampleKernel(r, w, v)
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -171,20 +160,20 @@ func ValidateExec(ex *tune.Exec, model *core.Model, v tune.Variant, suite []work
 			// A fully-parked scenario: nothing to launch or simulate. The
 			// measured side is the device's idle NVML reading (Figure 3's
 			// first bar) and the activity vector is the entry's own — both
-			// variant-independent and deterministic, so the artifact store
-			// and worker pool have nothing to warm.
+			// variant-independent and deterministic, so the worker pool
+			// has nothing to sample.
 			measuredW = tb.Device.MeasureIdle().AvgPowerW
 			a = *k.SyntheticActivity
 		} else {
-			w := tune.Workload{Name: k.Name, Kernel: k.Kernel, Setup: k.Setup}
-			m, err := tb.Measure(w, 0)
-			if err != nil {
-				return nil, err
+			s := samples[0]
+			samples = samples[1:]
+			if s.PowerErr != nil {
+				return nil, s.PowerErr
 			}
-			measuredW = m.AvgPowerW
-			if a, err = tb.Activity(w, v); err != nil {
-				return nil, err
+			if s.ActErr != nil {
+				return nil, s.ActErr
 			}
+			measuredW, a = s.PowerW, s.Activity
 		}
 		kr, err := EstimateOneInto(be, k.Name, measuredW, a)
 		if err != nil {
@@ -229,14 +218,9 @@ func ValidateExec(ex *tune.Exec, model *core.Model, v tune.Variant, suite []work
 	return res, nil
 }
 
-// ValidateAll runs all four variants over the suite (Figure 7). Each kernel
-// is measured on silicon exactly once — the artifact store shares the
-// measurement across all four variants.
-func ValidateAll(tb *tune.Testbench, tuned *tune.Result, suite []workloads.Kernel) (map[tune.Variant]*ValidationResult, error) {
-	return ValidateAllExec(tb.Sequential(), tuned, suite)
-}
-
-// ValidateAllExec is ValidateAll through an execution engine.
+// ValidateAllExec runs all four variants over the suite (Figure 7). Each
+// kernel is measured on silicon exactly once — the artifact store shares
+// the measurement across all four variants.
 func ValidateAllExec(ex *tune.Exec, tuned *tune.Result, suite []workloads.Kernel) (map[tune.Variant]*ValidationResult, error) {
 	out := make(map[tune.Variant]*ValidationResult, tune.NumVariants)
 	for _, v := range tune.Variants() {
@@ -247,4 +231,26 @@ func ValidateAllExec(ex *tune.Exec, tuned *tune.Result, suite []workloads.Kernel
 		out[v] = r
 	}
 	return out, nil
+}
+
+// sampleKernel is the validation map step for one launched kernel: its
+// base-clock measurement, then, if that succeeded, its activity under v.
+// Only a hard error is returned as an error; the fold aborts on a
+// measurement failure.
+func sampleKernel(tb *tune.Testbench, w tune.Workload, v tune.Variant) (tune.Sample, error) {
+	s := tune.Sample{Name: w.Name}
+	m, err := tb.Measure(w, 0)
+	if err != nil {
+		if !tune.IsMeasurementFailure(err) {
+			return s, err
+		}
+		s.PowerErr = err
+		return s, nil
+	}
+	s.PowerW = m.AvgPowerW
+	if s.Activity, err = tb.Activity(w, v); err != nil && !tune.IsMeasurementFailure(err) {
+		return s, err
+	}
+	s.ActErr = err
+	return s, nil
 }

@@ -3,7 +3,6 @@ package tune
 import (
 	"fmt"
 
-	"accelwattch/internal/obs"
 	"accelwattch/internal/qp"
 	"accelwattch/internal/stats"
 	"accelwattch/internal/ubench"
@@ -74,65 +73,34 @@ type ConstPowerResult struct {
 // EstimateConstPower runs the five DVFS workloads of Figure 2 across the
 // frequency ladder, fits each to Eq. (3), and estimates constant power from
 // the y-intercepts. It also reports the (broken) legacy linear estimate for
-// the GPUWattch comparison.
-func (tb *Testbench) EstimateConstPower(sweep FreqSweep) (*ConstPowerResult, error) {
-	return tb.Sequential().EstimateConstPower(sweep)
-}
-
-// EstimateConstPower warms every (workload, frequency) operating point of
-// the DVFS ladder across the worker pool, then replays the Section 4.2
-// fitting flow against the memoised measurements.
+// the GPUWattch comparison. Every (workload, frequency) point is measured
+// across the pool first; the fits then read the readings in ladder order.
 func (ex *Exec) EstimateConstPower(sweep FreqSweep) (*ConstPowerResult, error) {
 	tb := ex.TB()
 	benches := ubench.DVFSSuite(tb.Arch, tb.Scale)
-	var tasks []func(*Testbench) error
+	mhz := sweep.Points()
+	var pts []Point
 	for _, b := range benches {
 		w := FromBench(b)
-		for _, mhz := range sweep.Points() {
-			tasks = append(tasks, func(r *Testbench) error {
-				_, err := r.Measure(w, mhz)
-				return err
-			})
+		for _, f := range mhz {
+			pts = append(pts, Point{w, f})
 		}
 	}
-	sp := obs.StartSpan("tune/const_power/warm")
-	err := ex.Warm(tasks)
-	sp.End()
+	rs, err := ex.MeasureAll(pts)
 	if err != nil {
 		return nil, err
 	}
-	sp = obs.StartSpan("tune/const_power/replay")
-	defer sp.End()
-	return tb.estimateConstPower(sweep, benches)
-}
 
-func (tb *Testbench) estimateConstPower(sweep FreqSweep, benches []ubench.Bench) (*ConstPowerResult, error) {
 	res := &ConstPowerResult{}
 	var intercepts, lineIntercepts []float64
-	for _, b := range benches {
-		w := FromBench(b)
-		var fs, ps []float64
-		for _, mhz := range sweep.Points() {
-			m, err := tb.Measure(w, mhz)
-			if err != nil {
-				if IsMeasurementFailure(err) {
-					// Skip the failed operating point; the fit can
-					// survive holes in the ladder.
-					continue
-				}
-				return nil, err
-			}
-			if !stats.AllFinite(m.AvgPowerW) {
-				continue
-			}
-			fs = append(fs, mhz/1000)
-			ps = append(ps, m.AvgPowerW)
-		}
+	for i, b := range benches {
+		// The fit survives holes in the ladder: failed points are skipped.
+		fs, ps := survivors(mhz, rs[i*len(mhz):][:len(mhz)])
 		// Eq. (3) has 3 parameters; demand at least one extra point so a
 		// degraded sweep cannot produce an exactly-interpolating fit with
 		// a meaningless intercept.
 		if len(fs) < 4 {
-			tb.quarantine(w.Name, fmt.Sprintf("only %d/%d DVFS points survived", len(fs), len(sweep.Points())), qcDVFSHoles)
+			tb.quarantine(b.Name, fmt.Sprintf("only %d/%d DVFS points survived", len(fs), len(mhz)), qcDVFSHoles)
 			continue
 		}
 		fit, err := tb.fitCubic(fs, ps)
@@ -163,4 +131,17 @@ func (tb *Testbench) estimateConstPower(sweep FreqSweep, benches []ubench.Bench)
 		return nil, fmt.Errorf("tune: constant power estimate %.2f W is non-positive; Eq. (3) fit failed", res.ConstW)
 	}
 	return res, nil
+}
+
+// survivors returns the points of a clock ladder whose readings succeeded
+// with a finite power, as frequencies in GHz and powers in W.
+func survivors(mhz []float64, rs []Reading) (fGHz, powerW []float64) {
+	for j, f := range mhz {
+		if rs[j].Err != nil || !stats.AllFinite(rs[j].M.AvgPowerW) {
+			continue
+		}
+		fGHz = append(fGHz, f/1000)
+		powerW = append(powerW, rs[j].M.AvgPowerW)
+	}
+	return fGHz, powerW
 }

@@ -6,7 +6,6 @@ import (
 	"accelwattch/internal/core"
 	"accelwattch/internal/qp"
 	"accelwattch/internal/stats"
-	"accelwattch/internal/ubench"
 )
 
 // StartPoint names the two QP starting points of Section 5.4.
@@ -38,11 +37,48 @@ type DynamicFit struct {
 	Fallback bool
 }
 
+// Sample is one workload as a variant sees it: its activity vector and its
+// power measured at the base clock, or the measurement failure (ActErr,
+// PowerErr) that kept either from being taken. A map step takes samples;
+// the fold that reads them decides whether a failed one is skipped,
+// reported or fatal.
+type Sample struct {
+	Name     string
+	Activity core.Activity
+	ActErr   error
+	PowerW   float64
+	PowerErr error
+}
+
+// sampleVariants is the map step of dynamic tuning for one microbenchmark:
+// its activity under every variant, then its base-clock measurement. Only a
+// hard error is returned as an error.
+func (tb *Testbench) sampleVariants(w Workload) ([NumVariants]Sample, error) {
+	var out [NumVariants]Sample
+	for _, v := range Variants() {
+		a, err := tb.Activity(w, v)
+		if err != nil && !IsMeasurementFailure(err) {
+			return out, err
+		}
+		out[v] = Sample{Name: w.Name, Activity: a, ActErr: err}
+	}
+	m, err := tb.Measure(w, 0)
+	if err != nil && !IsMeasurementFailure(err) {
+		return out, err
+	}
+	for v := range out {
+		if out[v].PowerErr = err; err == nil {
+			out[v].PowerW = m.AvgPowerW
+		}
+	}
+	return out, nil
+}
+
 // buildProblem assembles the Eq. (13) system for one variant: one row per
-// microbenchmark, one column per dynamic component, with the fixed static /
-// idle-SM / constant contributions moved to the right-hand side (they carry
-// scaling factor 1 by construction).
-func (tb *Testbench) buildProblem(benches []ubench.Bench, v Variant, m *core.Model) (*qp.Problem, []core.Activity, []float64, error) {
+// microbenchmark sample, one column per dynamic component, with the fixed
+// static / idle-SM / constant contributions moved to the right-hand side
+// (they carry scaling factor 1 by construction).
+func (tb *Testbench) buildProblem(samples []Sample, v Variant, m *core.Model) (*qp.Problem, []core.Activity, []float64, error) {
 	var (
 		rows [][]float64
 		rhs  []float64
@@ -50,30 +86,22 @@ func (tb *Testbench) buildProblem(benches []ubench.Bench, v Variant, m *core.Mod
 		acts []core.Activity
 		meas []float64
 	)
-	for _, b := range benches {
-		w := FromBench(b)
-		a, err := tb.Activity(w, v)
-		if err != nil {
-			if IsMeasurementFailure(err) {
-				// A quarantined or unprofilable microbenchmark drops out
-				// of the tuning set; the QP tunes over the survivors.
-				continue
-			}
-			return nil, nil, nil, err
+	for _, s := range samples {
+		if s.ActErr != nil {
+			// An unprofilable microbenchmark drops out of this
+			// variant's tuning set; the QP tunes over the survivors.
+			continue
 		}
-		mm, err := tb.Measure(w, 0)
-		if err != nil {
-			if IsMeasurementFailure(err) {
-				// The failed point is memoised, so every variant sees this
-				// identical outcome; record the drop (constant reason —
-				// whichever variant gets here first writes the same thing).
-				tb.quarantine(b.Name, "measurement failed; dropped from tuning set", qcDropped)
-				continue
-			}
-			return nil, nil, nil, err
+		if s.PowerErr != nil {
+			// Every variant's sample carries the same failure; record the
+			// drop (constant reason — whichever variant gets here first
+			// writes the same thing).
+			tb.quarantine(s.Name, "measurement failed; dropped from tuning set", qcDropped)
+			continue
 		}
-		if !stats.AllFinite(mm.AvgPowerW) || mm.AvgPowerW <= 0 {
-			tb.quarantine(b.Name, fmt.Sprintf("non-physical measured power %g W", mm.AvgPowerW), qcNonPhysical)
+		a := s.Activity
+		if !stats.AllFinite(s.PowerW) || s.PowerW <= 0 {
+			tb.quarantine(s.Name, fmt.Sprintf("non-physical measured power %g W", s.PowerW), qcNonPhysical)
 			continue
 		}
 		// Fixed terms at x=1: evaluate the model with zero dynamic
@@ -84,7 +112,7 @@ func (tb *Testbench) buildProblem(benches []ubench.Bench, v Variant, m *core.Mod
 		}
 		fb, err := fixed.Estimate(a)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("tune: %s: %w", b.Name, err)
+			return nil, nil, nil, fmt.Errorf("tune: %s: %w", s.Name, err)
 		}
 		timeS := a.Cycles / (tb.Arch.BaseClockMHz * 1e6)
 		row := make([]float64, core.NumDynComponents)
@@ -94,14 +122,14 @@ func (tb *Testbench) buildProblem(benches []ubench.Bench, v Variant, m *core.Mod
 			rowOK = rowOK && stats.AllFinite(row[i])
 		}
 		if !rowOK {
-			tb.quarantine(b.Name, "non-finite QP row", qcNonFinite)
+			tb.quarantine(s.Name, "non-finite QP row", qcNonFinite)
 			continue
 		}
 		rows = append(rows, row)
-		rhs = append(rhs, mm.AvgPowerW-fb.Total())
-		wts = append(wts, 1/mm.AvgPowerW) // minimise relative error
+		rhs = append(rhs, s.PowerW-fb.Total())
+		wts = append(wts, 1/s.PowerW) // minimise relative error
 		acts = append(acts, a)
-		meas = append(meas, mm.AvgPowerW)
+		meas = append(meas, s.PowerW)
 	}
 
 	if len(rows) == 0 {
@@ -140,11 +168,12 @@ func startVector(sp StartPoint, base [core.NumDynComponents]float64) []float64 {
 	return x
 }
 
-// TuneDynamic solves Eq. (14) for one variant from both starting points and
-// returns both fits, ranked (Section 5.4 adopts the Fermi-start model when
-// it wins, which the paper observed on Volta).
-func (tb *Testbench) TuneDynamic(benches []ubench.Bench, v Variant, m *core.Model, opts qp.Options) (best, other *DynamicFit, err error) {
-	prob, acts, meas, err := tb.buildProblem(benches, v, m)
+// TuneDynamic solves Eq. (14) for one variant over the microbenchmarks'
+// samples under that variant and returns the fits from both starting
+// points, ranked (Section 5.4 adopts the Fermi-start model when it wins,
+// which the paper observed on Volta).
+func (tb *Testbench) TuneDynamic(samples []Sample, v Variant, m *core.Model, opts qp.Options) (best, other *DynamicFit, err error) {
+	prob, acts, meas, err := tb.buildProblem(samples, v, m)
 	if err != nil {
 		return nil, nil, err
 	}

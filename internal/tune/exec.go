@@ -5,14 +5,17 @@ import (
 
 	"accelwattch/internal/engine"
 	"accelwattch/internal/obs"
+	"accelwattch/internal/silicon"
 )
 
 // Exec is a testbench bound to an execution context: a worker pool of
-// testbench replicas plus a cancellation context. Tuning and evaluation
-// stages fan their measurement work out through it, then replay their
-// (unchanged, sequential) model-fitting logic against the now-warm artifact
-// store — which is what makes a parallel run bit-identical to a sequential
-// one at any worker count.
+// testbench replicas plus a cancellation context. Every tuning and
+// evaluation stage is a map then a fold. The map fans the stage's
+// measurements out across the pool (Map, MeasureAll) and returns what they
+// computed in input order; the fold is the stage's sequential fitting
+// logic, which reads those results by position and makes every skip,
+// quarantine and abort decision in input order — which is what makes a
+// parallel run bit-identical to a sequential one at any worker count.
 type Exec struct {
 	ctx  context.Context
 	pool *engine.Pool[*Testbench]
@@ -54,9 +57,6 @@ func (tb *Testbench) Sequential() *Exec {
 	return &Exec{ctx: context.Background(), pool: engine.PoolOf(tb)}
 }
 
-// Ctx returns the engine's cancellation context.
-func (ex *Exec) Ctx() context.Context { return ex.ctx }
-
 // WithSpan parents all stage spans this engine opens under sp — callers
 // holding a session root span install it here so the exported trace nests
 // session → stage → workload. Returns ex for chaining; nil clears it.
@@ -89,20 +89,30 @@ func Map[T, V any](ex *Exec, items []T, fn func(*Testbench, T) (V, error)) ([]V,
 	})
 }
 
-// Warm fans the tasks out across the pool to populate the artifact store.
-// Measurement failures (ErrMeasurement, ErrQuarantined) are swallowed —
-// they are memoised per key, and the sequential replay that follows makes
-// the skip-or-abort decision exactly where it always did. Any other error
-// cancels the remaining tasks and is returned.
-func (ex *Exec) Warm(tasks []func(*Testbench) error) error {
-	if len(tasks) == 0 {
-		return nil
-	}
-	_, err := engine.Map(ex.ctx, ex.pool, tasks, func(_ context.Context, tb *Testbench, task func(*Testbench) error) (struct{}, error) {
-		if err := task(tb); err != nil && !IsMeasurementFailure(err) {
-			return struct{}{}, err
+// Point is one operating point: a workload at a core clock in MHz (0 means
+// the base clock).
+type Point struct {
+	W   Workload
+	MHz float64
+}
+
+// Reading is what measuring a Point gave: the measurement, or the
+// measurement failure (Err) that the fold skips the point over or aborts on.
+type Reading struct {
+	M   *silicon.Measurement
+	Err error
+}
+
+// MeasureAll is the map step of the sweep stages: it measures every point
+// across the pool and returns the readings in input order. A measurement
+// failure is a reading; any other error (a failed trace, a clock out of
+// range) ends the map, and the lowest-index one is returned.
+func (ex *Exec) MeasureAll(pts []Point) ([]Reading, error) {
+	return Map(ex, pts, func(tb *Testbench, p Point) (Reading, error) {
+		m, err := tb.Measure(p.W, p.MHz)
+		if err != nil && !IsMeasurementFailure(err) {
+			return Reading{}, err
 		}
-		return struct{}{}, nil
+		return Reading{m, err}, nil
 	})
-	return err
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"accelwattch/internal/core"
-	"accelwattch/internal/obs"
 	"accelwattch/internal/stats"
 	"accelwattch/internal/ubench"
 )
@@ -31,26 +30,14 @@ func staticFreqs(tb *Testbench) []float64 {
 	return out
 }
 
-// fitStaticAt fits the frequency sweep of one divergence microbenchmark and
-// returns the static power (the tau*f term) at the base clock.
-func (tb *Testbench) fitStaticAt(mix core.MixCategory, lanes int) (float64, error) {
-	b := ubench.DivergenceBench(tb.Arch, tb.Scale, mix, lanes)
-	w := FromBench(b)
-	var fs, ps []float64
-	for _, mhz := range staticFreqs(tb) {
-		m, err := tb.Measure(w, mhz)
-		if err != nil {
-			if IsMeasurementFailure(err) {
-				continue // tolerate holes in the reduced ladder
-			}
-			return 0, err
-		}
-		if !stats.AllFinite(m.AvgPowerW) {
-			continue
-		}
-		fs = append(fs, mhz/1000)
-		ps = append(ps, m.AvgPowerW)
-	}
+// divSweepLanes is the y-sweep of Figure 4, measured at the base clock.
+var divSweepLanes = []int{4, 8, 12, 16, 20, 24, 28, 32}
+
+// staticAt fits one divergence microbenchmark's frequency sweep (its
+// readings at freqs) and returns the static power (the tau*f term) at the
+// base clock.
+func (tb *Testbench) staticAt(mix core.MixCategory, lanes int, freqs []float64, rs []Reading) (float64, error) {
+	fs, ps := survivors(freqs, rs) // tolerate holes in the reduced ladder
 	if len(fs) < 4 {
 		return 0, fmt.Errorf("tune: static fit %v y=%d: only %d points survived: %w",
 			mix, lanes, len(fs), ErrMeasurement)
@@ -72,56 +59,37 @@ func (tb *Testbench) fitStaticAt(mix core.MixCategory, lanes int) (float64, erro
 // instruction-mix category: static endpoints from Eq. (3) fits at y=1 and
 // y=32, and the half-warp/linear selection from the measured y-sweep at the
 // base clock (the sawtooth test of Figure 4 — does power drop when the
-// second half-warp activates?).
-func (tb *Testbench) FitDivergenceModels() ([core.NumMixCategories]core.DivModel, []DivergenceFit, error) {
-	return tb.Sequential().FitDivergenceModels()
-}
-
-// FitDivergenceModels warms every operating point the Sections 4.4-4.5
-// construction touches — the y=1 and y=32 frequency sweeps plus the y-sweep
-// at the base clock, for every mix category — then replays the sequential
-// fitting flow against the memoised measurements.
+// second half-warp activates?). Every operating point of every mix is
+// measured across the pool first; the fits then read the readings per mix.
 func (ex *Exec) FitDivergenceModels() ([core.NumMixCategories]core.DivModel, []DivergenceFit, error) {
 	tb := ex.TB()
-	sweepLanes := []int{4, 8, 12, 16, 20, 24, 28, 32}
-	var tasks []func(*Testbench) error
-	for _, mix := range ubench.DivergenceMixes(tb.Arch) {
+	var models [core.NumMixCategories]core.DivModel
+	mixes := ubench.DivergenceMixes(tb.Arch)
+	freqs := staticFreqs(tb)
+	// Each mix measures one block of points: the y=1 and y=32 frequency
+	// sweeps, then the y-sweep at the base clock.
+	var pts []Point
+	for _, mix := range mixes {
 		for _, lanes := range []int{1, 32} {
 			w := FromBench(ubench.DivergenceBench(tb.Arch, tb.Scale, mix, lanes))
-			for _, mhz := range staticFreqs(tb) {
-				tasks = append(tasks, func(r *Testbench) error {
-					_, err := r.Measure(w, mhz)
-					return err
-				})
+			for _, mhz := range freqs {
+				pts = append(pts, Point{w, mhz})
 			}
 		}
-		for _, y := range sweepLanes {
-			w := FromBench(ubench.DivergenceBench(tb.Arch, tb.Scale, mix, y))
-			tasks = append(tasks, func(r *Testbench) error {
-				_, err := r.Measure(w, 0)
-				return err
-			})
+		for _, y := range divSweepLanes {
+			pts = append(pts, Point{W: FromBench(ubench.DivergenceBench(tb.Arch, tb.Scale, mix, y))})
 		}
 	}
-	var models [core.NumMixCategories]core.DivModel
-	sp := obs.StartSpan("tune/divergence/warm")
-	err := ex.Warm(tasks)
-	sp.End()
+	rs, err := ex.MeasureAll(pts)
 	if err != nil {
 		return models, nil, err
 	}
-	sp = obs.StartSpan("tune/divergence/replay")
-	defer sp.End()
-	return tb.fitDivergenceModels()
-}
 
-func (tb *Testbench) fitDivergenceModels() ([core.NumMixCategories]core.DivModel, []DivergenceFit, error) {
-	var models [core.NumMixCategories]core.DivModel
 	var fits []DivergenceFit
-	sweepLanes := []int{4, 8, 12, 16, 20, 24, 28, 32}
-
-	for _, mix := range ubench.DivergenceMixes(tb.Arch) {
-		first, err := tb.fitStaticAt(mix, 1)
+	nf, block := len(freqs), 2*len(freqs)+len(divSweepLanes)
+	for i, mix := range mixes {
+		blk := rs[i*block:][:block]
+		first, err := tb.staticAt(mix, 1, freqs, blk[:nf])
 		if err != nil {
 			if IsMeasurementFailure(err) {
 				// The whole mix category degrades to the INT_FP model
@@ -132,7 +100,7 @@ func (tb *Testbench) fitDivergenceModels() ([core.NumMixCategories]core.DivModel
 			}
 			return models, nil, err
 		}
-		full, err := tb.fitStaticAt(mix, 32)
+		full, err := tb.staticAt(mix, 32, freqs, blk[nf:2*nf])
 		if err != nil {
 			if IsMeasurementFailure(err) {
 				tb.quarantine(fmt.Sprintf("div-%v", mix), fmt.Sprintf("y=32 static fit failed: %v", err), qcStaticFit)
@@ -147,21 +115,14 @@ func (tb *Testbench) fitDivergenceModels() ([core.NumMixCategories]core.DivModel
 		var ys []float64
 		var lanes []int
 		byLane := make(map[int]float64)
-		for _, y := range sweepLanes {
-			b := ubench.DivergenceBench(tb.Arch, tb.Scale, mix, y)
-			m, err := tb.Measure(FromBench(b), 0)
-			if err != nil {
-				if IsMeasurementFailure(err) {
-					continue // missing sweep points weaken the sawtooth test but don't kill the mix
-				}
-				return models, nil, err
+		for j, y := range divSweepLanes {
+			r := blk[2*nf+j]
+			if r.Err != nil || !stats.AllFinite(r.M.AvgPowerW) {
+				continue // missing sweep points weaken the sawtooth test but don't kill the mix
 			}
-			if !stats.AllFinite(m.AvgPowerW) {
-				continue
-			}
-			ys = append(ys, m.AvgPowerW)
+			ys = append(ys, r.M.AvgPowerW)
 			lanes = append(lanes, y)
-			byLane[y] = m.AvgPowerW
+			byLane[y] = r.M.AvgPowerW
 		}
 		// Sawtooth detection: with half-warp execution, total power at
 		// y=20 sits below the y=16 peak (Section 4.4). A small margin
@@ -207,87 +168,56 @@ type IdleSMResult struct {
 // FitIdleSM estimates the static power of an idle SM from the Active/Idle
 // occupancy microbenchmarks: Eq. (6) gives the per-active-SM power from the
 // all-SM run, Eq. (7) the residual attributed to idle SMs, and Eq. (8)
-// combines per-benchmark estimates with a geometric mean.
-func (tb *Testbench) FitIdleSM(constW float64) (*IdleSMResult, error) {
-	return tb.Sequential().FitIdleSM(constW)
-}
-
-// FitIdleSM warms the full-occupancy runs and the occupancy ladder of the
-// Section 4.6 construction across the pool, then replays the sequential
-// estimation against the memoised measurements.
+// combines per-benchmark estimates with a geometric mean. Every occupancy
+// run is measured across the pool first; the estimates then read the
+// readings per body.
 func (ex *Exec) FitIdleSM(constW float64) (*IdleSMResult, error) {
 	tb := ex.TB()
 	n := tb.Arch.NumSMs
-	ladder := []int{n / 8, n / 4, n / 2, 3 * n / 4}
-	var tasks []func(*Testbench) error
-	for _, at := range []func(int) ubench.Bench{
-		func(k int) ubench.Bench { return ubench.OccupancyBench(tb.Arch, tb.Scale, k) },
-		func(k int) ubench.Bench { return ubench.OccupancyBenchFP(tb.Arch, tb.Scale, k) },
-	} {
-		ks := append([]int{n}, ladder...)
-		for _, k := range ks {
-			if k <= 0 || k > n {
-				continue
-			}
-			w := FromBench(at(k))
-			tasks = append(tasks, func(r *Testbench) error {
-				_, err := r.Measure(w, 0)
-				return err
-			})
+	var ladder []int
+	for _, k := range []int{n / 8, n / 4, n / 2, 3 * n / 4} {
+		if k > 0 && k < n {
+			ladder = append(ladder, k)
 		}
 	}
-	sp := obs.StartSpan("tune/idle_sm/warm")
-	err := ex.Warm(tasks)
-	sp.End()
+	bodies := []struct {
+		name string
+		at   func(int) ubench.Bench
+	}{
+		{"intmul", func(k int) ubench.Bench { return ubench.OccupancyBench(tb.Arch, tb.Scale, k) }},
+		{"ffma", func(k int) ubench.Bench { return ubench.OccupancyBenchFP(tb.Arch, tb.Scale, k) }},
+	}
+	// Each body measures the full-occupancy run, then its ladder, all at
+	// the base clock.
+	var pts []Point
+	for _, body := range bodies {
+		pts = append(pts, Point{W: FromBench(body.at(n))})
+		for _, k := range ladder {
+			pts = append(pts, Point{W: FromBench(body.at(k))})
+		}
+	}
+	rs, err := ex.MeasureAll(pts)
 	if err != nil {
 		return nil, err
 	}
-	sp = obs.StartSpan("tune/idle_sm/replay")
-	defer sp.End()
-	return tb.fitIdleSM(constW)
-}
-
-func (tb *Testbench) fitIdleSM(constW float64) (*IdleSMResult, error) {
-	n := tb.Arch.NumSMs
-	ladder := []int{n / 8, n / 4, n / 2, 3 * n / 4}
-	bodies := []struct {
-		name string
-		full ubench.Bench
-		at   func(int) ubench.Bench
-	}{
-		{"intmul", ubench.OccupancyBench(tb.Arch, tb.Scale, n),
-			func(k int) ubench.Bench { return ubench.OccupancyBench(tb.Arch, tb.Scale, k) }},
-		{"ffma", ubench.OccupancyBenchFP(tb.Arch, tb.Scale, n),
-			func(k int) ubench.Bench { return ubench.OccupancyBenchFP(tb.Arch, tb.Scale, k) }},
-	}
 
 	var ests []float64
-	for _, body := range bodies {
-		mFull, err := tb.Measure(FromBench(body.full), 0)
-		if err != nil {
-			if IsMeasurementFailure(err) {
-				tb.quarantine("idlesm-"+body.name, fmt.Sprintf("full-occupancy measurement failed: %v", err), qcStaticFit)
-				continue
-			}
-			return nil, err
+	for i, body := range bodies {
+		row := rs[i*(1+len(ladder)):][:1+len(ladder)]
+		if err := row[0].Err; err != nil {
+			tb.quarantine("idlesm-"+body.name, fmt.Sprintf("full-occupancy measurement failed: %v", err), qcStaticFit)
+			continue
 		}
-		perActive := (mFull.AvgPowerW - constW) / float64(n) // Eq. (6)
+		perActive := (row[0].M.AvgPowerW - constW) / float64(n) // Eq. (6)
 		if !stats.AllFinite(perActive) || perActive <= 0 {
 			return nil, fmt.Errorf("tune: per-active-SM power non-positive for %s", body.name)
 		}
-		for _, k := range ladder {
-			if k <= 0 || k >= n {
-				continue
+		for j, k := range ladder {
+			r := row[1+j]
+			if r.Err != nil {
+				continue // drop the failed ladder step, keep the rest
 			}
-			b := body.at(k)
-			m, err := tb.Measure(FromBench(b), 0)
-			if err != nil {
-				if IsMeasurementFailure(err) {
-					continue // drop the failed ladder step, keep the rest
-				}
-				return nil, err
-			}
-			idle := m.AvgPowerW - constW - perActive*float64(k) // Eq. (7)
+			idle := r.M.AvgPowerW - constW - perActive*float64(k) // Eq. (7)
 			perIdle := idle / float64(n-k)
 			if stats.AllFinite(perIdle) && perIdle > 0 {
 				ests = append(ests, perIdle)

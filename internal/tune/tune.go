@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"accelwattch/internal/core"
-	"accelwattch/internal/engine"
 	"accelwattch/internal/obs"
 	"accelwattch/internal/qp"
 	"accelwattch/internal/ubench"
@@ -47,9 +46,11 @@ type Result struct {
 	BestFits  [NumVariants]*DynamicFit
 	OtherFits [NumVariants]*DynamicFit
 
-	// Quarantined lists workloads and pipeline stages removed from the
-	// tuning flow after repeated measurement failures ("name: reason",
-	// sorted). Empty on a clean meter.
+	// Quarantined reports the workloads with repeated measurement
+	// failures and the workloads and stages a stage dropped or degraded
+	// around ("name: reason", sorted). It is a report, not a filter: a
+	// quarantined workload's successful measurements are still used.
+	// Empty on a clean meter.
 	Quarantined []string
 }
 
@@ -62,13 +63,7 @@ func (r *Result) Model(v Variant) *core.Model { return r.Models[v] }
 // programming over the 102 microbenchmarks (Section 5). opts.Workers sets
 // the execution-engine parallelism; output is identical at any setting.
 func Tune(tb *Testbench, opts Options) (*Result, error) {
-	return TuneContext(context.Background(), tb, opts)
-}
-
-// TuneContext is Tune with cancellation: ctx aborts in-flight measurement
-// fan-out between (and inside) pipeline stages.
-func TuneContext(ctx context.Context, tb *Testbench, opts Options) (*Result, error) {
-	ex, err := NewExec(ctx, tb, opts.Workers)
+	ex, err := NewExec(context.Background(), tb, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -76,9 +71,9 @@ func TuneContext(ctx context.Context, tb *Testbench, opts Options) (*Result, err
 }
 
 // Tune runs the complete Figure 1 flow through the execution engine: each
-// stage warms its measurements across the worker pool, replays its fitting
-// logic sequentially against the memoised artifacts, and the per-variant
-// dynamic tuning fans out one variant per worker.
+// stage maps its measurements across the worker pool and folds them through
+// its sequential fitting logic, and the per-variant dynamic tuning fans out
+// one variant per worker.
 func (ex *Exec) Tune(opts Options) (*Result, error) {
 	tb := ex.TB()
 	out := &Result{}
@@ -147,24 +142,13 @@ func (ex *Exec) Tune(opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	// Warm every artifact the per-variant QP systems need — activities for
-	// all four variants plus the base-clock measurement per microbenchmark —
-	// so the variant fan-out below only reads the store.
-	var tasks []func(*Testbench) error
-	for _, b := range benches {
-		w := FromBench(b)
-		tasks = append(tasks, func(r *Testbench) error {
-			for _, v := range Variants() {
-				if _, err := r.Activity(w, v); err != nil && !IsMeasurementFailure(err) {
-					return err
-				}
-			}
-			_, err := r.Measure(w, 0)
-			return err
-		})
-	}
-	sp = tuneSpan.Child("tune/dynamic/warm")
-	err = ex.Warm(tasks)
+	// Sample every microbenchmark under all four variants, with its
+	// base-clock measurement, so the per-variant QP systems below only
+	// read the samples.
+	sp = tuneSpan.Child("tune/dynamic/map")
+	samples, err := Map(ex, benches, func(r *Testbench, b ubench.Bench) ([NumVariants]Sample, error) {
+		return r.sampleVariants(FromBench(b))
+	})
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -172,11 +156,14 @@ func (ex *Exec) Tune(opts Options) (*Result, error) {
 
 	sp = tuneSpan.Child("tune/dynamic/fit")
 	type variantFit struct{ best, other *DynamicFit }
-	fits, err := engine.Map(ex.ctx, ex.pool, Variants(),
-		func(_ context.Context, r *Testbench, v Variant) (variantFit, error) {
-			best, other, err := r.TuneDynamic(benches, v, skeleton, opts.QP)
-			return variantFit{best, other}, err
-		})
+	fits, err := Map(ex, Variants(), func(r *Testbench, v Variant) (variantFit, error) {
+		vs := make([]Sample, len(samples))
+		for i := range samples {
+			vs[i] = samples[i][v]
+		}
+		best, other, err := r.TuneDynamic(vs, v, skeleton, opts.QP)
+		return variantFit{best, other}, err
+	})
 	sp.End()
 	if err != nil {
 		return nil, err
