@@ -36,10 +36,11 @@ type MeterPolicy struct {
 	// attempt (real NVML timeouts cluster, so immediate retries lose).
 	RetryBackoff time.Duration
 
-	// QuarantineAfter is the number of failed operating points a
-	// workload tolerates before it is quarantined: further measurements
-	// fail fast with ErrQuarantined and the tuning flow proceeds over
-	// the surviving microbenchmarks.
+	// QuarantineAfter is the number of failed operating points after
+	// which a workload is quarantined: reported in Result.Quarantined as
+	// "N failed operating points". Quarantine is a report, not a filter —
+	// the workload's remaining points are still measured, and each stage
+	// keeps using those that succeed.
 	QuarantineAfter int
 
 	// Robust selects the Huber/trimmed variants of the Eq. (3) fits and
@@ -88,21 +89,16 @@ func (p MeterPolicy) normalized() MeterPolicy {
 	return p
 }
 
-// Measurement-path error classes. Callers skip workloads whose errors match
-// these (via IsMeasurementFailure) and abort on anything else.
-var (
-	// ErrMeasurement marks an operating point that failed all retries.
-	ErrMeasurement = errors.New("tune: measurement failed")
-	// ErrQuarantined marks workloads removed from the tuning flow after
-	// repeated measurement failures.
-	ErrQuarantined = errors.New("tune: workload quarantined")
-)
+// ErrMeasurement marks an operating point that failed all retries. Callers
+// skip workloads whose errors match it (via IsMeasurementFailure) and abort
+// on anything else.
+var ErrMeasurement = errors.New("tune: measurement failed")
 
 // IsMeasurementFailure reports whether err is a meter-path failure the
 // tuning flow should degrade around (skip the point or the workload) rather
 // than abort on.
 func IsMeasurementFailure(err error) bool {
-	return errors.Is(err, ErrMeasurement) || errors.Is(err, ErrQuarantined)
+	return errors.Is(err, ErrMeasurement)
 }
 
 // UseMeter replaces the measurement path (for example with a
@@ -136,8 +132,8 @@ func NewFaultyTestbench(arch *config.Arch, sc ubench.Scale, prof faults.Profile)
 	return tb, nil
 }
 
-// Quarantined returns the workloads removed from the tuning flow, sorted,
-// as "name: reason" strings.
+// Quarantined returns the quarantined workloads and stages, sorted, as
+// "name: reason" strings.
 func (tb *Testbench) Quarantined() []string {
 	a := tb.arts
 	a.mu.Lock()
@@ -150,14 +146,10 @@ func (tb *Testbench) Quarantined() []string {
 	return out
 }
 
-// Quarantine records a workload as removed from the tuning flow.
-func (tb *Testbench) Quarantine(name, reason string) {
-	tb.quarantine(name, reason, qcManual)
-}
-
-// quarantine is Quarantine with a bounded reason class for the
-// aw_tune_quarantines_total counter; only first insertions count, so the
-// metric tracks distinct quarantined workloads/stages per class.
+// quarantine reports a workload or stage in Result.Quarantined, with a
+// bounded reason class for the aw_tune_quarantines_total counter; only
+// first insertions count, so the metric tracks distinct quarantined
+// workloads/stages per class.
 func (tb *Testbench) quarantine(name, reason, class string) {
 	a := tb.arts
 	a.mu.Lock()

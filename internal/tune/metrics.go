@@ -3,9 +3,9 @@ package tune
 import "accelwattch/internal/obs"
 
 // Tuning-pipeline telemetry: meter-path robustness counters and QP solver
-// stats. Stage durations are covered by obs spans (aw_stage_seconds) placed
-// in tune.go and the per-stage warm/replay entry points. All of it is
-// observe-only — no tuning decision reads a metric back.
+// stats. Stage durations are covered by the obs stage spans
+// (aw_stage_seconds) Exec.Tune opens. All of it is observe-only — no tuning
+// decision reads a metric back.
 var (
 	mMeterReads = obs.Default().Counter("aw_tune_meter_reads_total",
 		"Successful power-meter reads (post-retry).")
@@ -38,5 +38,4 @@ const (
 	qcQPSolver     = "qp_solver"      // QP solver failed; start-point fallback
 	qcStaticFit    = "static_fit"     // divergence/idle-SM static fit failed
 	qcTemperature  = "temperature"    // temperature ladder failed or implausible
-	qcManual       = "manual"         // external callers of Quarantine
 )
