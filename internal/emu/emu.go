@@ -720,8 +720,6 @@ func f32v(bits64 uint64) float32 { return math.Float32frombits(uint32(bits64)) }
 
 func fbits(f float32) uint64 { return uint64(math.Float32bits(f)) }
 
-func f32bits(f float32) uint32 { return math.Float32bits(f) }
-
 func min32(a, b int32) int32 {
 	if a < b {
 		return a

@@ -27,30 +27,12 @@ func (m *Memory) LoadGlobal(addr uint64) uint64 { return m.global.load(addr) }
 // StoreGlobal writes a word to global memory.
 func (m *Memory) StoreGlobal(addr, v uint64) { m.global.store(addr, v) }
 
-// LoadTexture reads a word from texture memory (0 when untouched).
-func (m *Memory) LoadTexture(addr uint64) uint64 { return m.texture.load(addr) }
-
 // StoreTexture writes a word to texture memory. Kernels cannot store to
 // texture memory; setup code fills it.
 func (m *Memory) StoreTexture(addr, v uint64) { m.texture.store(addr, v) }
 
 // pages is the number of pages the image holds.
 func (m *Memory) pages() int { return len(m.global.pages) + len(m.texture.pages) }
-
-// FillGlobalU32 writes consecutive 32-bit words starting at base with
-// 4-byte stride.
-func (m *Memory) FillGlobalU32(base uint64, vals []uint32) {
-	for i, v := range vals {
-		m.global.store(base+uint64(i)*4, uint64(v))
-	}
-}
-
-// FillGlobalF32 writes consecutive float32 bit patterns starting at base.
-func (m *Memory) FillGlobalF32(base uint64, vals []float32) {
-	for i, v := range vals {
-		m.global.store(base+uint64(i)*4, uint64(f32bits(v)))
-	}
-}
 
 // PointerChase builds a pointer-chasing ring of n nodes with the given byte
 // stride starting at base: mem[base + i*stride] holds the address of the

@@ -70,10 +70,6 @@ func (p *Pool[R]) Workers() int { return len(p.replicas) }
 // Primary returns replica 0.
 func (p *Pool[R]) Primary() R { return p.replicas[0] }
 
-// Replica returns replica i (0 is the primary). It panics when i is out of
-// range, matching slice semantics; use Workers to size loops.
-func (p *Pool[R]) Replica(i int) R { return p.replicas[i] }
-
 // Map runs fn over items on the pool's replicas and returns the results in
 // input order. A single-replica pool runs inline with no goroutines. On
 // failure the lowest-index error is returned (matching sequential abort
@@ -178,25 +174,18 @@ func Map[R, T, V any](ctx context.Context, p *Pool[R], items []T, fn func(ctx co
 	return out, nil
 }
 
-// Slots returns a replica-less pool of the given width: `workers`
-// interchangeable empty slots. It is the reusable form of MapN's implicit
-// pool — long-lived callers that fan out repeatedly (the serving layer's
-// request batcher) build it once instead of allocating a pool per batch.
-func Slots(workers int) *Pool[struct{}] {
+// MapN is Map for replica-less fan-out over `workers` interchangeable
+// empty slots (values < 1 mean 1): fn receives only the item index. Results
+// are in index order with the same error semantics as Map.
+func MapN[V any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (V, error)) ([]V, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Pool[struct{}]{replicas: make([]struct{}, workers)}
-}
-
-// MapN is Map for replica-less fan-out: fn receives only the item index.
-// Results are in index order with the same error semantics as Map.
-func MapN[V any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (V, error)) ([]V, error) {
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	return Map(ctx, Slots(workers), idx, func(ctx context.Context, _ struct{}, i int) (V, error) {
+	return Map(ctx, PoolOf(make([]struct{}, workers)...), idx, func(ctx context.Context, _ struct{}, i int) (V, error) {
 		return fn(ctx, i)
 	})
 }

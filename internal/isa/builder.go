@@ -105,9 +105,6 @@ func (b *Builder) MovI(d Reg, imm int64) *Instr {
 	return b.emit(Instr{Op: OpMOVI, Dst: d, Imm: imm, HasImm: true})
 }
 
-// Mov emits a register move.
-func (b *Builder) Mov(d, s Reg) *Instr { return b.Op1(OpMOV, d, s) }
-
 // S2R reads a special register.
 func (b *Builder) S2R(d Reg, sr SReg) *Instr {
 	return b.emit(Instr{Op: OpS2R, Dst: d, SReg: sr})

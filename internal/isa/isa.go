@@ -174,9 +174,6 @@ type Instr struct {
 	SemOp Op
 }
 
-// Guarded reports whether the instruction is guarded by a real predicate.
-func (in *Instr) Guarded() bool { return in.Pred != PT }
-
 // Dim3 is a CUDA-style 3D extent; this framework exercises only the x
 // dimension but keeps the structure for fidelity.
 type Dim3 struct{ X, Y, Z int }
@@ -211,9 +208,6 @@ type Kernel struct {
 
 // Warps returns the number of warps per CTA, rounding up.
 func (k *Kernel) Warps() int { return (k.Block.Count() + 31) / 32 }
-
-// TotalWarps returns the number of warps across the whole grid.
-func (k *Kernel) TotalWarps() int { return k.Warps() * k.Grid.Count() }
 
 // Clone returns a deep copy of the kernel; callers may mutate the copy's
 // code or launch geometry without affecting the original.

@@ -291,19 +291,6 @@ func (s *Server) Entry(name string) *zoo.Entry {
 	return nil
 }
 
-// ModelNames lists the live (non-retired) entries in registration order.
-func (s *Server) ModelNames() []string {
-	s.umu.RLock()
-	defer s.umu.RUnlock()
-	out := make([]string, 0, len(s.units))
-	for _, name := range s.order {
-		if _, ok := s.units[name]; ok {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
 // resolveUnit routes a request to a serving unit: by entry name, by
 // architecture alias, or to the default when neither is given. Resolution
 // takes the registry read lock once; the returned unit is immutable, so a
