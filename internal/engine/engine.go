@@ -31,9 +31,9 @@ import (
 )
 
 // Pool holds one replica of a resource per worker. Replica 0 is the
-// primary — the original resource the pool was built around — so sequential
-// fallbacks and post-fan-out replays run on the exact object the caller
-// constructed.
+// primary — the original resource the pool was built around — so a
+// single-worker pool and the sequential folds that follow a fan-out run on
+// the exact object the caller constructed.
 type Pool[R any] struct {
 	replicas []R
 }

@@ -10,8 +10,8 @@
 // Like the rest of obs, the ledger is strictly observe-only: no pipeline
 // code path reads an event back, so installing or removing a ledger cannot
 // change any output. Event *sets* are deterministic at every worker count —
-// emission happens inside singleflight artifact computations or sequential
-// replay, never per scheduling decision — while sequence numbers and
+// emission happens inside singleflight artifact computations or a stage's
+// sequential fold, never per scheduling decision — while sequence numbers and
 // timestamps record the actual interleaving of a particular run.
 package obs
 

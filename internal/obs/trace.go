@@ -3,7 +3,7 @@ package obs
 import "time"
 
 // SpanRecord is one completed stage timing. Stage names are hierarchical
-// ("tune/const_power/warm"); Worker is the engine replica index the work
+// ("tune/dynamic/fit"); Worker is the engine replica index the work
 // ran on, or -1 when the span is not attributed to a worker. ID is unique
 // within the registry and Parent links a child span to the span that
 // started it (0 means the span has no recorded parent); Detail carries
