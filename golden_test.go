@@ -9,7 +9,9 @@ import (
 	"math"
 	"testing"
 
+	"accelwattch/internal/isa"
 	"accelwattch/internal/tune"
+	"accelwattch/internal/ubench"
 )
 
 // TestQuickPipelineGolden pins the outputs of a Quick-scale Volta tune and
@@ -71,5 +73,48 @@ func TestQuickPipelineGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(rows.Sum(nil)[:8]); got != wantRows {
 		t.Errorf("rows digest %s, want %s", got, wantRows)
+	}
+}
+
+// TestQuickTraceStreams pins how emu shares records in the Quick traces:
+// in every trace of the Table 2 and Table 4 suites, at both ISA levels,
+// all warps execute the same records, so each trace holds one stream.
+func TestQuickTraceStreams(t *testing.T) {
+	if testing.Short() {
+		t.Skip("traces the Quick suites")
+	}
+	sess, err := SharedSession(Volta(), Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	benches, err := ubench.Suite(sess.Arch(), Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernels, err := sess.ValidationSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ws []tune.Workload
+	for _, b := range benches {
+		ws = append(ws, tune.FromBench(b))
+	}
+	for _, k := range kernels {
+		ws = append(ws, tune.Workload{Name: k.Name, Kernel: k.Kernel, Setup: k.Setup})
+	}
+	var traces, warps, streams int
+	for _, w := range ws {
+		for _, level := range []isa.Level{isa.PTX, isa.SASS} {
+			kt, err := sess.Testbench().Trace(w, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces++
+			warps += len(kt.Warps)
+			streams += len(kt.Streams())
+		}
+	}
+	if traces != 256 || warps != 306240 || streams != 256 {
+		t.Errorf("%d traces of %d warps in %d streams, want 256 of 306240 in 256", traces, warps, streams)
 	}
 }

@@ -126,10 +126,19 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		sectorBit = 1 << ((addr & c.offsetMask) >> sectorShift)
 	}
 
-	// Hit path.
+	// One walk finds the hit or the victim. Lines turn valid only as
+	// victims and invalid only in Reset, and a miss takes the first
+	// invalid line, so a set's valid lines are a prefix of it: the first
+	// invalid line ends the search and is the victim. Otherwise the victim
+	// is the least recently used line, the lowest index on a tie.
+	victim := &set[0]
 	for i := range set {
 		ln := &set[i]
-		if ln.valid && ln.tag == lineAddr {
+		if !ln.valid {
+			victim = ln
+			break
+		}
+		if ln.tag == lineAddr {
 			ln.lastUse = c.clock
 			if write {
 				ln.dirty = true
@@ -142,23 +151,15 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 			c.stats.Hits++
 			return Result{Hit: true}
 		}
-	}
-
-	// Miss path.
-	c.stats.Misses++
-	if write && !c.cfg.WriteAllocate {
-		return Result{}
-	}
-	victim := &set[0]
-	for i := range set {
-		ln := &set[i]
-		if !ln.valid {
-			victim = ln
-			break
-		}
 		if ln.lastUse < victim.lastUse {
 			victim = ln
 		}
+	}
+
+	// Miss.
+	c.stats.Misses++
+	if write && !c.cfg.WriteAllocate {
+		return Result{}
 	}
 	res := Result{}
 	if victim.valid {

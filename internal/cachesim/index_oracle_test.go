@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// divCache keeps the indexing Cache used before it moved to shifts and
-// masks: line, set and sector by division and modulo, and one slice per
-// set. Replacement is the same LRU.
+// divCache keeps the indexing and the lookup Cache used before: line, set
+// and sector by division and modulo, one slice per set, and two walks of
+// the set on a miss, one for the tag and one for the victim (the first
+// invalid line, else the least recently used). Cache walks a set once.
 type divCache struct {
 	cfg   Config
 	sets  [][]line
@@ -77,9 +78,11 @@ func (c *divCache) Access(addr uint64, write bool) Result {
 	return res
 }
 
-// The shift-and-mask indexing must give every access the result, and the
-// cache the statistics, that the division-based indexing gave, whether
-// the set count is a power of two or not.
+// The shift-and-mask indexing and the one-walk lookup must give every
+// access the result, and the cache the statistics, that divCache gives,
+// whether the set count is a power of two or not. In the reset subtests
+// the cache is Reset halfway and compared with a fresh divCache from
+// there on.
 func TestIndexingMatchesDivision(t *testing.T) {
 	geoms := []struct {
 		name string
@@ -93,29 +96,41 @@ func TestIndexingMatchesDivision(t *testing.T) {
 		{"direct-mapped", Config{SizeBytes: 32 * 32, LineBytes: 32, Assoc: 1, WriteAllocate: true}},
 	}
 	for _, g := range geoms {
-		t.Run(g.name, func(t *testing.T) {
-			c := mustNew(t, g.cfg)
-			ref := newDivCache(g.cfg)
-			rng := rand.New(rand.NewSource(int64(len(g.name))))
-			// Twice the cache's bytes as a working set gives hits, sector
-			// fills and evictions; one access in eight goes anywhere.
-			span := uint64(2 * g.cfg.SizeBytes)
-			for i := 0; i < 200000; i++ {
-				addr := uint64(rng.Int63n(int64(span)))
-				if rng.Intn(8) == 0 {
-					addr = rng.Uint64()
+		for _, reset := range []bool{false, true} {
+			name := g.name
+			if reset {
+				name += "/reset"
+			}
+			t.Run(name, func(t *testing.T) {
+				c := mustNew(t, g.cfg)
+				ref := newDivCache(g.cfg)
+				rng := rand.New(rand.NewSource(int64(len(g.name))))
+				// Twice the cache's bytes as a working set gives hits,
+				// sector fills and evictions; one access in eight goes
+				// anywhere.
+				span := uint64(2 * g.cfg.SizeBytes)
+				const n = 200000
+				for i := 0; i < n; i++ {
+					if reset && i == n/2 {
+						c.Reset()
+						ref = newDivCache(g.cfg)
+					}
+					addr := uint64(rng.Int63n(int64(span)))
+					if rng.Intn(8) == 0 {
+						addr = rng.Uint64()
+					}
+					write := rng.Intn(4) == 0
+					if got, want := c.Access(addr, write), ref.Access(addr, write); got != want {
+						t.Fatalf("access %d (%#x, write=%v): %+v, divCache %+v", i, addr, write, got, want)
+					}
 				}
-				write := rng.Intn(4) == 0
-				if got, want := c.Access(addr, write), ref.Access(addr, write); got != want {
-					t.Fatalf("access %d (%#x, write=%v): %+v, division indexing %+v", i, addr, write, got, want)
+				if got, want := c.Stats(), ref.stats; got != want {
+					t.Errorf("stats %+v, divCache %+v", got, want)
 				}
-			}
-			if got, want := c.Stats(), ref.stats; got != want {
-				t.Errorf("stats %+v, division indexing %+v", got, want)
-			}
-			if s := ref.stats; s.Hits == 0 || s.Evictions == 0 || g.cfg.Sectored && s.SectorMisses == 0 {
-				t.Errorf("stream too weak to compare indexing: %+v", ref.stats)
-			}
-		})
+				if s := ref.stats; s.Hits == 0 || s.Evictions == 0 || g.cfg.Sectored && s.SectorMisses == 0 {
+					t.Errorf("stream too weak to compare: %+v", ref.stats)
+				}
+			})
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"accelwattch/internal/isa"
@@ -91,12 +92,15 @@ func Run(k *isa.Kernel, mem *Memory) (*trace.KernelTrace, error) {
 	}
 	defer arenas.Put(arena)
 	*arena = (*arena)[:0]
+	var last []trace.Rec // the records of the warp collected last
 	for cta := 0; cta < nCTAs; cta++ {
 		if err := l.runCTA(ws, cta); err != nil {
 			return nil, err
 		}
 		for _, w := range ws {
-			kt.Warps = append(kt.Warps, w.collect(arena))
+			wt := w.collect(arena, last)
+			last = wt.Recs
+			kt.Warps = append(kt.Warps, wt)
 		}
 	}
 	kt.Addrs = make([]uint64, len(*arena))
@@ -222,6 +226,7 @@ type warpState struct {
 	steps  int
 
 	recs  []trace.Rec
+	prev  []trace.Rec // the records collect gave this slot's previous warp
 	mems  []trace.Mem // one per memory record
 	lanes []uint64    // listed records' addresses; their Mem.Base indexes this
 	addrs [32]uint64  // the current memory instruction's lane addresses
@@ -237,12 +242,22 @@ func (w *warpState) reset(cta int) {
 	w.recs, w.mems, w.lanes = w.recs[:0], w.mems[:0], w.lanes[:0]
 }
 
-// collect copies the warp's records and address entries into exact-size
-// storage, moving its listed addresses to the end of the launch's arena.
-func (w *warpState) collect(arena *[]uint64) trace.WarpTrace {
-	recs := make([]trace.Rec, len(w.recs))
-	copy(recs, w.recs)
-	wt := trace.WarpTrace{CTA: w.cta, Warp: w.warp, Recs: recs}
+// collect returns the warp's trace. Its records share an earlier warp's
+// exact-size slice when they equal it: the slice this slot collected for
+// the previous CTA, or last, the one of the warp collected just before.
+// Otherwise they are copied into exact-size storage. The address entries
+// are the warp's own, and its listed addresses move to the end of the
+// launch's arena.
+func (w *warpState) collect(arena *[]uint64, last []trace.Rec) trace.WarpTrace {
+	switch {
+	case slices.Equal(w.recs, w.prev):
+	case slices.Equal(w.recs, last):
+		w.prev = last
+	default:
+		w.prev = make([]trace.Rec, len(w.recs))
+		copy(w.prev, w.recs)
+	}
+	wt := trace.WarpTrace{CTA: w.cta, Warp: w.warp, Recs: w.prev}
 	if len(w.mems) > 0 {
 		wt.Mem = make([]trace.Mem, len(w.mems))
 		off := uint64(len(*arena))

@@ -38,6 +38,10 @@ type Mem struct {
 }
 
 // WarpTrace is the full dynamic instruction stream of one warp.
+//
+// Recs is read-only, and it may alias other warps' Recs within one trace:
+// emu gives warps that executed the same records one shared slice. Mem is
+// the warp's own.
 type WarpTrace struct {
 	CTA  int // CTA index within the grid
 	Warp int // warp index within the CTA
@@ -52,6 +56,47 @@ type KernelTrace struct {
 	// Addrs holds the lane addresses of the listed memory records, warp
 	// by warp in record order.
 	Addrs []uint64
+}
+
+// Stream is one distinct record slice of a trace and the number of warps
+// whose Recs it is.
+type Stream struct {
+	Recs  []Rec
+	Warps int64
+}
+
+// Streams returns the trace's distinct record slices in order of first
+// appearance, each with its warp count, skipping warps without records.
+// Warps share a stream when their Recs start at the same element and have
+// the same length; warps whose equal records are stored apart, as in a
+// decoded trace, are separate streams. A count that depends only on a
+// warp's records therefore equals, per stream times its warp count, what a
+// walk over every warp gives.
+func (kt *KernelTrace) Streams() []Stream {
+	type key struct {
+		first *Rec
+		n     int
+	}
+	var out []Stream
+	index := make(map[key]int)
+	last, li := key{}, 0 // the previous warp's key and stream
+	for wi := range kt.Warps {
+		recs := kt.Warps[wi].Recs
+		if len(recs) == 0 {
+			continue
+		}
+		if k := (key{&recs[0], len(recs)}); k != last {
+			i, ok := index[k]
+			if !ok {
+				i = len(out)
+				index[k] = i
+				out = append(out, Stream{Recs: recs})
+			}
+			last, li = k, i
+		}
+		out[li].Warps++
+	}
+	return out
 }
 
 // Instr returns the static instruction a record executed.
@@ -233,26 +278,33 @@ func Summarize(kt *KernelTrace) Stats {
 		WarpCount:  len(kt.Warps),
 		UnitCounts: make(map[isa.Unit]int64),
 	}
-	var laneSum int64
+	// Instruction counts depend only on the records: take them once per
+	// stream, times its warps.
+	for _, st := range kt.Streams() {
+		for _, r := range st.Recs {
+			op := kt.Instr(r).Op
+			info := op.Info()
+			s.DynInstrs += st.Warps
+			s.ThreadInstrs += st.Warps * int64(r.ActiveLanes())
+			s.OpCounts[op] += st.Warps
+			s.UnitCounts[info.Unit] += st.Warps
+			if info.IsMem {
+				s.MemAccesses += st.Warps
+			}
+		}
+	}
+	// Coalescing depends on each warp's addresses.
 	var buf [32]uint64
 	for wi := range kt.Warps {
 		wt := &kt.Warps[wi]
 		mi := 0
 		for _, r := range wt.Recs {
 			in := kt.Instr(r)
-			info := in.Op.Info()
-			s.DynInstrs++
-			lanes := int64(r.ActiveLanes())
-			s.ThreadInstrs += lanes
-			laneSum += lanes
-			s.OpCounts[in.Op]++
-			s.UnitCounts[info.Unit]++
-			if !info.IsMem {
+			if !in.Op.Info().IsMem {
 				continue
 			}
 			acc := kt.Access(wt.Mem[mi], r.Mask)
 			mi++
-			s.MemAccesses++
 			switch in.Space {
 			case isa.SpaceGlobal:
 				s.GlobalLines += int64(len(acc.Blocks(&buf, 128)))
@@ -264,7 +316,7 @@ func Summarize(kt *KernelTrace) Stats {
 		}
 	}
 	if s.DynInstrs > 0 {
-		s.AvgLanes = float64(laneSum) / float64(s.DynInstrs)
+		s.AvgLanes = float64(s.ThreadInstrs) / float64(s.DynInstrs)
 	}
 	return s
 }

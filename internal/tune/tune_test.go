@@ -8,6 +8,8 @@ import (
 	"accelwattch/internal/config"
 	"accelwattch/internal/core"
 	"accelwattch/internal/isa"
+	"accelwattch/internal/trace"
+	"accelwattch/internal/trace/tracetest"
 	"accelwattch/internal/ubench"
 )
 
@@ -295,5 +297,45 @@ func TestFreqSweepPoints(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The HW census counts each record stream once, times its warps. It must
+// give the per-opcode counts of a walk over every warp's records, on emu's
+// traces, whose warps share streams, and on copies in which none do; and
+// hwActivity's instruction totals must be the walk's.
+func TestHWCensusMatchesWarpWalk(t *testing.T) {
+	tb, err := NewTestbench(config.Volta(), ubench.Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []Workload{
+		FromBench(ubench.DivergenceBench(tb.Arch, tb.Scale, core.MixIntFP, 7)),
+		FromBench(ubench.OccupancyBench(tb.Arch, tb.Scale, 4)),
+	} {
+		kt, err := tb.Trace(w, isa.SASS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(kt.Streams()); n >= len(kt.Warps) {
+			t.Errorf("%s: %d streams for %d warps, want sharing", w.Name, n, len(kt.Warps))
+		}
+		want, wantLanes := tracetest.Walk(kt)
+		for _, c := range []*trace.KernelTrace{kt, tracetest.Unshared(kt)} {
+			if counts, lanes := opCensus(c); counts != want.OpCounts || lanes != wantLanes {
+				t.Errorf("%s (%d streams): census %v / %v, warp walk %v / %v",
+					w.Name, len(c.Streams()), counts, lanes, want.OpCounts, wantLanes)
+			}
+		}
+		a, err := tb.Activity(w, HW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.Counts[core.CompIBUF]; got != float64(want.DynInstrs) {
+			t.Errorf("%s: HW activity counts %v warp instructions, warp walk %d", w.Name, got, want.DynInstrs)
+		}
+		if a.AvgLanes != want.AvgLanes {
+			t.Errorf("%s: HW activity averages %v lanes, warp walk %v", w.Name, a.AvgLanes, want.AvgLanes)
+		}
 	}
 }

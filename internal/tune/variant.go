@@ -5,6 +5,7 @@ import (
 
 	"accelwattch/internal/core"
 	"accelwattch/internal/isa"
+	"accelwattch/internal/trace"
 )
 
 // Variant selects how AccelWattch is driven (Section 2): by the software
@@ -79,14 +80,7 @@ func (tb *Testbench) hwActivity(w Workload, v Variant) (core.Activity, error) {
 	// Census warp instructions and active lanes per opcode, then fold them
 	// into the components once. Every partial sum is an integer below
 	// 2^53, so the float components hold the bits a per-record sum gave.
-	var opCounts, opLanes [isa.NumOps]int64
-	for wi := range kt.Warps {
-		for _, r := range kt.Warps[wi].Recs {
-			op := kt.Instr(r).Op
-			opCounts[op]++
-			opLanes[op] += int64(r.ActiveLanes())
-		}
-	}
+	opCounts, opLanes := opCensus(kt)
 	var a core.Activity
 	var warpInstrs, laneSum int64
 	for op, n := range opCounts {
@@ -133,4 +127,18 @@ func (tb *Testbench) hwActivity(w Workload, v Variant) (core.Activity, error) {
 	}
 	a.Mix = core.ClassifyMix(core.MixInputFromOpCounts(opCounts, a.Cycles, a.ActiveSMs))
 	return a, nil
+}
+
+// opCensus counts a trace's warp instructions and their active lanes per
+// opcode. The counts depend only on each warp's records, so it walks each
+// distinct stream once and multiplies by the warps that share it.
+func opCensus(kt *trace.KernelTrace) (counts, lanes [isa.NumOps]int64) {
+	for _, st := range kt.Streams() {
+		for _, r := range st.Recs {
+			op := kt.Instr(r).Op
+			counts[op] += st.Warps
+			lanes[op] += st.Warps * int64(r.ActiveLanes())
+		}
+	}
+	return counts, lanes
 }
