@@ -97,16 +97,25 @@ type Event struct {
 // buffer that retains the most recent events and counts what it sheds —
 // bounded memory for an unbounded request stream. The zero value is not
 // usable; call a constructor.
+//
+// Events are stored in fixed chunks of ledgerChunk events, allocated as the
+// ledger fills and never copied. One slice grown by append would be copied
+// at every growth step, old and new array live at once; a collection that
+// marks during the copy of a service's 65,536-event ring (16 MB) sees both.
 type Ledger struct {
 	runID string
 
 	mu      sync.Mutex
-	events  []Event
+	chunks  [][]Event // every chunk but the last holds ledgerChunk events
+	n       int       // events stored
 	seq     int64
 	cap     int   // 0 = unbounded
 	head    int   // oldest event's index when the ring has wrapped
 	dropped int64 // events shed by the ring
 }
+
+// ledgerChunk is the ledger's unit of growth, in events (32 KB).
+const ledgerChunk = 128
 
 // NewLedger returns an empty unbounded ledger stamping runID onto every
 // event.
@@ -155,23 +164,37 @@ func (l *Ledger) Emit(ev Event) {
 	if ev.TimeUnixNano == 0 {
 		ev.TimeUnixNano = time.Now().UnixNano()
 	}
-	if l.cap > 0 && len(l.events) == l.cap {
-		l.events[l.head] = ev
+	if l.cap > 0 && l.n == l.cap {
+		*l.at(l.head) = ev
 		l.head = (l.head + 1) % l.cap
 		l.dropped++
 	} else {
-		l.events = append(l.events, ev)
+		if l.n%ledgerChunk == 0 {
+			size := ledgerChunk
+			if l.cap > 0 {
+				size = min(size, l.cap-l.n)
+			}
+			l.chunks = append(l.chunks, make([]Event, size))
+		}
+		*l.at(l.n) = ev
+		l.n++
 	}
 	l.mu.Unlock()
+}
+
+// at returns the event stored at index i. Caller holds mu.
+func (l *Ledger) at(i int) *Event {
+	return &l.chunks[i/ledgerChunk][i%ledgerChunk]
 }
 
 // Events returns a copy of the retained events in emission order.
 func (l *Ledger) Events() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, 0, len(l.events))
-	out = append(out, l.events[l.head:]...)
-	out = append(out, l.events[:l.head]...)
+	out := make([]Event, l.n)
+	for i := range out {
+		out[i] = *l.at((l.head + i) % l.n)
+	}
 	return out
 }
 
@@ -179,7 +202,7 @@ func (l *Ledger) Events() []Event {
 func (l *Ledger) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.events)
+	return l.n
 }
 
 // WriteJSONL renders the ledger as JSON Lines, one event per line, in

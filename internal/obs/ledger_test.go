@@ -141,27 +141,31 @@ func TestNewLogger(t *testing.T) {
 }
 
 func TestLedgerCapRing(t *testing.T) {
-	l := NewLedgerCap("capped", 3)
-	if l.Cap() != 3 {
-		t.Fatalf("Cap = %d, want 3", l.Cap())
-	}
-	for i := 0; i < 5; i++ {
-		l.Emit(Event{Kind: KindMeasure, ClockMHz: float64(i)})
-	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (ring at capacity)", l.Len())
-	}
-	if l.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", l.Dropped())
-	}
-	evs := l.Events()
-	// The most recent three events survive, in emission order, with their
-	// original sequence numbers (so the shed prefix is visible as a gap).
-	for i, ev := range evs {
-		wantSeq := int64(i + 3)
-		if ev.Seq != wantSeq || ev.ClockMHz != float64(i+2) {
-			t.Fatalf("event %d = {Seq:%d ClockMHz:%g}, want {Seq:%d ClockMHz:%d}",
-				i, ev.Seq, ev.ClockMHz, wantSeq, i+2)
+	// The second ring crosses chunk boundaries with a capacity that is not
+	// a multiple of the chunk size.
+	for _, tc := range []struct{ cap, emits int }{{3, 5}, {300, 1000}} {
+		l := NewLedgerCap("capped", tc.cap)
+		if l.Cap() != tc.cap {
+			t.Fatalf("Cap = %d, want %d", l.Cap(), tc.cap)
+		}
+		for i := 0; i < tc.emits; i++ {
+			l.Emit(Event{Kind: KindMeasure, ClockMHz: float64(i)})
+		}
+		if l.Len() != tc.cap {
+			t.Fatalf("Len = %d, want %d (ring at capacity)", l.Len(), tc.cap)
+		}
+		if l.Dropped() != int64(tc.emits-tc.cap) {
+			t.Fatalf("Dropped = %d, want %d", l.Dropped(), tc.emits-tc.cap)
+		}
+		evs := l.Events()
+		// The most recent events survive, in emission order, with their
+		// original sequence numbers (so the shed prefix is visible as a gap).
+		for i, ev := range evs {
+			shed := tc.emits - tc.cap
+			if ev.Seq != int64(shed+i+1) || ev.ClockMHz != float64(shed+i) {
+				t.Fatalf("cap %d: event %d = {Seq:%d ClockMHz:%g}, want {Seq:%d ClockMHz:%d}",
+					tc.cap, i, ev.Seq, ev.ClockMHz, shed+i+1, shed+i)
+			}
 		}
 	}
 	// Below capacity the ring behaves exactly like the unbounded ledger.

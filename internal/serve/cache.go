@@ -5,12 +5,15 @@ import (
 	"sync"
 )
 
-// result is the unit of caching: the marshalled response body (the exact
+// result is the unit of caching: the encoded response body (the exact
 // bytes every requester receives, which is what makes cached and
 // freshly-computed replies bit-identical) plus the attribution payload the
-// ledger wants per served estimate. Failed computations are never cached —
-// by construction they cannot occur after request validation, so a result
-// in the cache is always a success.
+// ledger wants per served estimate. Failed computations are never cached,
+// so a result in the cache is always a success. Validation leaves one way
+// to fail: counts large enough, or cycles small enough, to make the watts
+// infinite or NaN, which JSON cannot carry; the encoder then fails with
+// json.Marshal's text ("json: unsupported value: +Inf") and the request
+// answers 400.
 type result struct {
 	body   []byte
 	powerW float64

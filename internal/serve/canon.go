@@ -3,7 +3,6 @@ package serve
 import (
 	"sort"
 	"strconv"
-	"strings"
 
 	"accelwattch/internal/core"
 )
@@ -17,74 +16,70 @@ import (
 // Name) are excluded; zero counts are dropped, making {"alu": 0} and an
 // absent "alu" the same key, exactly as they are the same estimate.
 
-// canonFloat renders a float64 exactly and canonically.
-func canonFloat(v float64) string {
-	return strconv.FormatFloat(v, 'x', -1, 64)
-}
-
 // CacheKey returns the canonical cache key of a validated estimate request.
 // Call only after DecodeEstimateRequest (or validate): unknown names have
 // already been rejected, so the key is total on the valid-request domain.
 func (r *EstimateRequest) CacheKey() string {
-	var sb strings.Builder
-	sb.Grow(192)
-	sb.WriteString("est|v=")
-	sb.WriteString(r.Variant)
-	sb.WriteString("|mix=")
-	sb.WriteString(r.Mix)
-	for _, f := range []struct {
-		tag string
-		v   float64
-	}{
-		{"cy", r.Cycles}, {"f", r.ClockMHz}, {"V", r.Voltage},
-		{"sm", r.ActiveSMs}, {"y", r.AvgLanes}, {"T", r.TemperatureC},
-	} {
-		sb.WriteByte('|')
-		sb.WriteString(f.tag)
-		sb.WriteByte('=')
-		sb.WriteString(canonFloat(f.v))
-	}
-	// Counts in component-index order (deterministic regardless of the map
-	// iteration order), zero entries omitted. Unknown names cannot reach a
-	// validated request; if one does (direct construction), it is keyed
-	// verbatim under its own name so it can never alias a known component.
-	sb.WriteString("|c:")
-	for c := 0; c < core.NumDynComponents; c++ {
-		name := core.Component(c).String()
-		if v, ok := r.Counts[name]; ok && v != 0 {
-			sb.WriteString(name)
-			sb.WriteByte('=')
-			sb.WriteString(canonFloat(v))
-			sb.WriteByte(',')
-		}
-	}
-	var unknown []string
-	for name, v := range r.Counts {
-		if c, ok := core.ComponentByName(name); (!ok || int(c) >= core.NumDynComponents) && v != 0 {
-			unknown = append(unknown, name)
-		}
-	}
-	sort.Strings(unknown)
-	for _, name := range unknown {
-		sb.WriteString("?" + name)
-		sb.WriteByte('=')
-		sb.WriteString(canonFloat(r.Counts[name]))
-		sb.WriteByte(',')
-	}
-	return sb.String()
+	return string(r.appendKey(make([]byte, 0, 256)))
 }
 
 // CacheKey returns the canonical cache key of a validated sweep request:
 // the estimate key of its activity plus the ladder bounds.
 func (r *SweepRequest) CacheKey() string {
-	var sb strings.Builder
-	sb.WriteString("swp|")
-	sb.WriteString(r.EstimateRequest.CacheKey())
-	sb.WriteString("|lo=")
-	sb.WriteString(canonFloat(r.MinMHz))
-	sb.WriteString("|hi=")
-	sb.WriteString(canonFloat(r.MaxMHz))
-	sb.WriteString("|st=")
-	sb.WriteString(canonFloat(r.StepMHz))
-	return sb.String()
+	b := append(make([]byte, 0, 256), "swp|"...)
+	b = r.EstimateRequest.appendKey(b)
+	b = appendCanon(append(b, "|lo="...), r.MinMHz)
+	b = appendCanon(append(b, "|hi="...), r.MaxMHz)
+	b = appendCanon(append(b, "|st="...), r.StepMHz)
+	return string(b)
+}
+
+// appendCanon renders a float64 exactly and canonically.
+func appendCanon(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'x', -1, 64)
+}
+
+// appendKey appends the estimate key of r.
+func (r *EstimateRequest) appendKey(b []byte) []byte {
+	b = append(b, "est|v="...)
+	b = append(b, r.Variant...)
+	b = append(b, "|mix="...)
+	b = append(b, r.Mix...)
+	b = appendCanon(append(b, "|cy="...), r.Cycles)
+	b = appendCanon(append(b, "|f="...), r.ClockMHz)
+	b = appendCanon(append(b, "|V="...), r.Voltage)
+	b = appendCanon(append(b, "|sm="...), r.ActiveSMs)
+	b = appendCanon(append(b, "|y="...), r.AvgLanes)
+	b = appendCanon(append(b, "|T="...), r.TemperatureC)
+	// Counts in component-index order (deterministic regardless of the map
+	// iteration order), zero entries omitted. Unknown names cannot reach a
+	// validated request; if one does (direct construction), it is keyed
+	// verbatim under its own name so it can never alias a known component.
+	var counts [core.NumDynComponents]float64
+	var unknown []string
+	for name, v := range r.Counts {
+		if v == 0 {
+			continue
+		}
+		if c, ok := core.ComponentByName(name); ok && int(c) < core.NumDynComponents {
+			counts[c] = v
+		} else {
+			unknown = append(unknown, name)
+		}
+	}
+	b = append(b, "|c:"...)
+	for c, v := range counts {
+		if v != 0 {
+			b = append(b, core.Component(c).String()...)
+			b = appendCanon(append(b, '='), v)
+			b = append(b, ',')
+		}
+	}
+	sort.Strings(unknown)
+	for _, name := range unknown {
+		b = append(append(b, '?'), name...)
+		b = appendCanon(append(b, '='), r.Counts[name])
+		b = append(b, ',')
+	}
+	return b
 }

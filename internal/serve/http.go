@@ -64,7 +64,7 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, true
 }
 
-// writeResult sends a computed response body (already-marshalled JSON).
+// writeResult sends a computed response body (already-encoded JSON).
 func writeResult(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)

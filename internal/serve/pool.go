@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
+	"bytes"
 	"sync"
 
 	"accelwattch/internal/core"
@@ -9,26 +9,28 @@ import (
 	"accelwattch/internal/tune"
 )
 
-// sweepScratch is the reusable per-computation buffer set of the batched
-// sweep path: the clock ladder, the per-rung totals the core ladder engine
-// writes into, and the response points handed to the JSON encoder. Buffers
-// reset (reslice to zero) rather than reallocate, so a warm server computes
-// sweeps of any previously-seen size without growing the heap. The
-// marshalled body copies everything out, which is what makes returning the
-// scratch to the pool safe the moment Marshal returns.
-type sweepScratch struct {
+// scratch is the reusable per-computation buffer set of the batched paths:
+// the sweep's clock ladder and the per-rung totals the core ladder engine
+// writes into, and the buffer a response is encoded into. Buffers reset
+// (reslice to zero) rather than reallocate, so a warm server encodes
+// replies and computes sweeps of any previously-seen size without growing
+// the heap. The result keeps an exact-size copy of the body, which is what
+// makes returning the scratch to the pool safe.
+type scratch struct {
 	clocks []float64
 	totals []float64
-	points []SweepPoint
+	body   []byte
 }
 
-var sweepScratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // estimateResultBatched is estimateResult on the unit's pre-resolved batch
 // estimator: the same eval wrapper (EstimateOneInto is bit-identical to
-// EstimateOne), the same response struct, the same marshalling — so the body
-// bytes are provably equal to the scalar reference path's, which the golden
-// and determinism suites assert end to end.
+// EstimateOne) and the hand-written encoder, which writes the bytes
+// json.Marshal writes for the same response — so the body is provably equal
+// to the scalar reference path's, which the golden and determinism suites
+// assert end to end. The breakdown map is built once per miss: the ledger
+// event of this request and of every later hit carries it.
 func estimateResultBatched(be *core.BatchEstimator, req *EstimateRequest) (result, error) {
 	a, err := req.Activity()
 	if err != nil {
@@ -38,27 +40,28 @@ func estimateResultBatched(be *core.BatchEstimator, req *EstimateRequest) (resul
 	if err != nil {
 		return result{}, err
 	}
-	resp := EstimateResponse{Variant: req.Variant, PowerW: kr.EstimatedW, Breakdown: kr.Breakdown.Map()}
-	body, err := json.Marshal(&resp)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.body, err = appendEstimateResponse(sc.body[:0], req.Variant, kr.EstimatedW, &kr.Breakdown)
 	if err != nil {
 		return result{}, err
 	}
-	return result{body: body, powerW: kr.EstimatedW, breakdown: resp.Breakdown}, nil
+	return result{body: bytes.Clone(sc.body), powerW: kr.EstimatedW, breakdown: kr.Breakdown.Map()}, nil
 }
 
 // sweepResultBatched is sweepResult through the ladder-specialized batch
-// path: the ladder, rung totals, and response points all live in pooled
+// path: the ladder, rung totals, and response body all live in pooled
 // buffers, and the whole DVFS curve is evaluated in one pass with the
 // clock-invariant work hoisted out of the rung loop. Each rung's power is
-// bit-identical to the scalar path's EstimateOne total, so the marshalled
+// bit-identical to the scalar path's EstimateOne total, so the encoded
 // bytes match sweepResult exactly.
 func sweepResultBatched(be *core.BatchEstimator, req *SweepRequest) (result, error) {
 	a, err := req.Activity()
 	if err != nil {
 		return result{}, err
 	}
-	sc := sweepScratchPool.Get().(*sweepScratch)
-	defer sweepScratchPool.Put(sc)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	fs := tune.FreqSweep{MinMHz: req.MinMHz, MaxMHz: req.MaxMHz, StepMHz: req.StepMHz}
 	sc.clocks = fs.AppendPoints(sc.clocks[:0])
 	if cap(sc.totals) < len(sc.clocks) {
@@ -69,14 +72,9 @@ func sweepResultBatched(be *core.BatchEstimator, req *SweepRequest) (result, err
 	if err := be.SweepLadderInto(&a, sc.clocks, sc.totals); err != nil {
 		return result{}, err
 	}
-	sc.points = sc.points[:0]
-	for j, mhz := range sc.clocks {
-		sc.points = append(sc.points, SweepPoint{ClockMHz: mhz, PowerW: sc.totals[j]})
-	}
-	resp := SweepResponse{Variant: req.Variant, Points: sc.points}
-	body, err := json.Marshal(&resp)
+	sc.body, err = appendSweepResponse(sc.body[:0], req.Variant, sc.clocks, sc.totals)
 	if err != nil {
 		return result{}, err
 	}
-	return result{body: body}, nil
+	return result{body: bytes.Clone(sc.body)}, nil
 }

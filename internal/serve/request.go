@@ -7,7 +7,7 @@
 //
 // The serving layer is strictly a transport around the single-shot
 // evaluation path: every /estimate response is produced by
-// eval.EstimateOne on the same model the batch tools would use, marshalled
+// eval.EstimateOne on the same model the batch tools would use, encoded
 // once, and possibly replayed from cache — so a response body is
 // bit-identical to the batch answer at any worker count, with the cache on
 // or off. The determinism suite (determinism_test.go) enforces exactly
@@ -15,8 +15,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -121,30 +119,16 @@ func parseMix(name string) (core.MixCategory, error) {
 	return 0, fmt.Errorf("serve: unknown mix category %q", name)
 }
 
-// decodeStrict unmarshals a request body, rejecting unknown fields and
-// trailing garbage — a mistyped counter name must be a 400, not a silently
-// ignored field.
-func decodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err == nil {
-		return fmt.Errorf("serve: trailing data after request body")
-	}
-	return nil
-}
-
 // DecodeEstimateRequest parses and validates a /estimate body. On success
 // the request is fully resolved: the variant and mix names are known, every
 // counter names a dynamic component, and the activity vector passes
 // core.Activity.Validate — so the compute stage downstream cannot fail on
-// input.
+// input. An unknown field or anything but white space after the body
+// rejects it: a mistyped counter name must be a 400, not a silently
+// ignored field.
 func DecodeEstimateRequest(data []byte) (*EstimateRequest, error) {
 	var req EstimateRequest
-	if err := decodeStrict(data, &req); err != nil {
+	if err := decodeRequest(data, &req, nil); err != nil {
 		return nil, err
 	}
 	if err := req.validate(); err != nil {
@@ -156,7 +140,7 @@ func DecodeEstimateRequest(data []byte) (*EstimateRequest, error) {
 // DecodeSweepRequest parses and validates a /sweep body.
 func DecodeSweepRequest(data []byte) (*SweepRequest, error) {
 	var req SweepRequest
-	if err := decodeStrict(data, &req); err != nil {
+	if err := decodeRequest(data, &req.EstimateRequest, &req); err != nil {
 		return nil, err
 	}
 	if err := req.EstimateRequest.validate(); err != nil {

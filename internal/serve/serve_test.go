@@ -115,6 +115,11 @@ func TestDecodeEstimateRequest(t *testing.T) {
 		{"full", string(estBody(0)), true},
 		{"unknown field", `{"variant":"SASS_SIM","cycles":1,"wattage":3}`, false},
 		{"trailing garbage", `{"variant":"SASS_SIM","cycles":1}{"x":1}`, false},
+		{"trailing word", `{"variant":"SASS_SIM","cycles":1} xyz`, false},
+		{"trailing brace", `{"variant":"SASS_SIM","cycles":1}}`, false},
+		{"trailing bracket", `{"variant":"SASS_SIM","cycles":1}]`, false},
+		{"trailing open object", `{"variant":"SASS_SIM","cycles":1}{`, false},
+		{"trailing white space", "{\"variant\":\"SASS_SIM\",\"cycles\":1} \t\r\n", true},
 		{"unknown variant", `{"variant":"SASS","cycles":1}`, false},
 		{"missing variant", `{"cycles":1}`, false},
 		{"unknown mix", `{"variant":"HW","cycles":1,"mix":"FP128"}`, false},
@@ -233,6 +238,25 @@ func TestCacheKeyCanonical(t *testing.T) {
 	sw2.StepMHz = 200
 	if sw.CacheKey() == sw2.CacheKey() {
 		t.Fatal("ladder step did not change the sweep key")
+	}
+
+	// The key text itself is pinned: two golden bodies, one per route.
+	golden := goldenRequests()
+	est, err := DecodeEstimateRequest([]byte(golden[1].Body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantEst = "est|v=SASS_SIM|mix=INT_FP|cy=0x1.e848p+19|f=0x0p+00|V=0x0p+00|sm=0x1p+06|y=0x1p+05|T=0x0p+00|c:regfile=0x1.dcd65p+30,alu=0x1.dcd65p+28,"
+	if got := est.CacheKey(); got != wantEst {
+		t.Errorf("%s: key\n %q\nwant\n %q", golden[1].Name, got, wantEst)
+	}
+	swp, err := DecodeSweepRequest([]byte(golden[5].Body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantSwp = "swp|est|v=HW|mix=|cy=0x1.e848p+19|f=0x0p+00|V=0x0p+00|sm=0x1.4p+06|y=0x1p+05|T=0x0p+00|c:alu=0x1.7d784p+26,|lo=0x1.9p+09|hi=0x1.5ep+10|st=0x1.9p+06"
+	if got := swp.CacheKey(); got != wantSwp {
+		t.Errorf("%s: key\n %q\nwant\n %q", golden[5].Name, got, wantSwp)
 	}
 }
 
@@ -384,6 +408,26 @@ func TestHTTPErrors(t *testing.T) {
 			t.Fatalf("status %d, want 400", code)
 		}
 	})
+	// A valid body can still produce non-finite watts; the encoder's
+	// failure is the answer, with json.Marshal's text.
+	for _, tc := range []struct{ name, body, want string }{
+		{"+Inf", `{"variant":"HW","cycles":1,"active_sms":80,"avg_lanes":32,"counts":{"alu":1e308,"fpu":1e308}`,
+			`{"error":"json: unsupported value: +Inf"}` + "\n"},
+		{"NaN", `{"variant":"HW","cycles":1e-320,"active_sms":80,"avg_lanes":32,"counts":{"alu":1e10}`,
+			`{"error":"json: unsupported value: NaN"}` + "\n"},
+	} {
+		t.Run("400 non-finite "+tc.name, func(t *testing.T) {
+			for route, body := range map[string]string{
+				"/estimate": tc.body + "}",
+				"/sweep":    tc.body + `,"min_mhz":800,"max_mhz":1400,"step_mhz":100}`,
+			} {
+				code, got := post(t, ts, route, []byte(body))
+				if code != http.StatusBadRequest || string(got) != tc.want {
+					t.Errorf("%s: %d %q, want 400 %q", route, code, got, tc.want)
+				}
+			}
+		})
+	}
 	t.Run("413 oversize", func(t *testing.T) {
 		big := append([]byte(`{"variant":"SASS_SIM","cycles":1,"name":"`),
 			bytes.Repeat([]byte("x"), maxBodyBytes+16)...)
