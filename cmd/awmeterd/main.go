@@ -1,7 +1,7 @@
 // Command awmeterd is the continuous energy-attribution daemon: the
 // Kepler-style long-running collector the batch pipeline lacks. It samples
 // synthetic counter feeds from a fleet of tenants every tick, evaluates
-// each sample through the zero-allocation batch estimator, integrates
+// each sample through the model's zero-allocation EstimateInto, integrates
 // power into a per-tenant joules ledger split by idle/active power domain,
 // and serves the result as a bounded Prometheus exposition:
 //

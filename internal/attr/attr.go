@@ -4,10 +4,11 @@
 // fleets — "how many joules did each tenant spend, and how much of that
 // was idle floor versus work actually done". It follows the design of
 // long-running collectors like Kepler: sample per-tenant counter feeds on
-// a fixed tick, evaluate each sample through the zero-allocation
-// core.BatchEstimator hot path, split the resulting 25-component breakdown
-// into power domains, and integrate power over time into a monotone
-// per-tenant energy ledger.
+// a fixed tick, evaluate each sample through core.Model.EstimateInto (the
+// model's one estimate path, which allocates nothing), split the resulting
+// 25-component breakdown into power domains, and integrate power over time
+// into a monotone per-tenant energy ledger. The serving gateway charges its
+// traffic through the same split.
 //
 // Determinism contract (the engine's bit-identical-parallelism contract,
 // extended to streaming): a Collector's per-tenant joules totals and its
@@ -66,19 +67,6 @@ func Split(b *core.Breakdown) Sample {
 		s.ActiveW += b.Watts[i]
 	}
 	s.IdleW = b.Watts[core.CompIdleSM] + b.Watts[core.CompConst]
-	return s
-}
-
-// SplitMap is Split for the wire form of a breakdown (the map keyed by
-// component names that serve responses and ledger events carry). Summation
-// still walks components in index order — never map order — so equal maps
-// produce bit-identical splits.
-func SplitMap(breakdown map[string]float64) Sample {
-	var s Sample
-	for i := 0; i <= int(core.CompStatic); i++ {
-		s.ActiveW += breakdown[core.Component(i).String()]
-	}
-	s.IdleW = breakdown[core.CompIdleSM.String()] + breakdown[core.CompConst.String()]
 	return s
 }
 

@@ -76,25 +76,6 @@ func TestSplitParkedIsAllIdle(t *testing.T) {
 	}
 }
 
-// SplitMap (the wire-form split awserve uses) agrees bit-for-bit with
-// Split on the same breakdown.
-func TestSplitMapMatchesSplit(t *testing.T) {
-	m := testModel(t)
-	act := workloads.InferenceProfiles(m.Arch)[0].At(0.8)
-	b, err := m.Estimate(act)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire := make(map[string]float64, core.NumComponents)
-	for i := 0; i < core.NumComponents; i++ {
-		wire[core.Component(i).String()] = b.Watts[i]
-	}
-	s, sm := Split(&b), SplitMap(wire)
-	if s != sm {
-		t.Fatalf("SplitMap %+v != Split %+v", sm, s)
-	}
-}
-
 func TestAccumulatorTrapezoid(t *testing.T) {
 	var a Accumulator
 	a.Add(1, Sample{ActiveW: 100, IdleW: 40}) // primes only

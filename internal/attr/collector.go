@@ -87,8 +87,8 @@ type tenantState struct {
 }
 
 // Collector is the streaming attribution pipeline: N tenant feeds sampled
-// every tick through one BatchEstimator, integrated per tenant, published
-// as bounded metrics and ledger events.
+// every tick through the model's EstimateInto, integrated per tenant,
+// published as bounded metrics and ledger events.
 //
 // A tick has two phases. The sampling phase fans tenant-index shards out
 // to persistent workers (pre-spawned; woken by a channel send, joined by a
@@ -105,7 +105,7 @@ type tenantState struct {
 type Collector struct {
 	cfg   Config
 	reg   *obs.Registry
-	be    *core.BatchEstimator
+	model *core.Model
 	meter *Meter
 
 	feeds   []TenantFeed
@@ -165,8 +165,7 @@ func New(cfg Config) (*Collector, error) {
 		}
 		chaos = *cfg.Chaos
 	}
-	be, err := core.NewBatchEstimator(cfg.Model)
-	if err != nil {
+	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
 	}
 
@@ -174,7 +173,7 @@ func New(cfg Config) (*Collector, error) {
 	c := &Collector{
 		cfg:   cfg,
 		reg:   reg,
-		be:    be,
+		model: cfg.Model,
 		meter: NewMeter(reg, cfg.MaxTenantSeries),
 		feeds: make([]TenantFeed, cfg.Tenants),
 		names: make([]string, cfg.Tenants),
@@ -259,7 +258,7 @@ func (c *Collector) sampleRange(lo, hi int, t int64, b *core.Breakdown) {
 			continue
 		}
 		act := c.feeds[i].At(t)
-		if err := c.be.EstimateInto(&act, b); err != nil {
+		if err := c.model.EstimateInto(&act, b); err != nil {
 			st.errs++
 			continue
 		}

@@ -19,8 +19,8 @@ func benchActivities() []Activity {
 	return acts
 }
 
-// BenchmarkEstimateScalar is the pre-batch reference: one Model.Estimate
-// call per kernel, allocating a Breakdown return per call.
+// BenchmarkEstimateScalar is BenchmarkEstimateBatch through Estimate, which
+// returns each breakdown by value.
 func BenchmarkEstimateScalar(b *testing.B) {
 	m := testModel()
 	acts := benchActivities()
@@ -40,24 +40,20 @@ func BenchmarkEstimateScalar(b *testing.B) {
 	b.ReportMetric(float64(len(acts)), "kernels/op")
 }
 
-// BenchmarkEstimateBatch is the gated hot path: a 64-activity batch through
-// the pre-resolved estimator into pooled buffers. The trajectory gate holds
-// this at 0 allocs/op.
+// BenchmarkEstimateBatch is the gated estimate path: a 64-activity batch,
+// each through EstimateInto into one reused breakdown. The trajectory gate
+// holds this at 0 allocs/op.
 func BenchmarkEstimateBatch(b *testing.B) {
 	m := testModel()
-	be, err := NewBatchEstimator(m)
-	if err != nil {
-		b.Fatal(err)
-	}
 	acts := benchActivities()
-	sc := GetScratch()
-	defer PutScratch(sc)
-	sc.Grow(len(acts))
+	var bd Breakdown
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := be.EstimateBatch(acts, sc.Breakdowns); err != nil {
-			b.Fatal(err)
+		for j := range acts {
+			if err := m.EstimateInto(&acts[j], &bd); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.ReportMetric(float64(len(acts)), "kernels/op")
@@ -67,30 +63,24 @@ func BenchmarkEstimateBatch(b *testing.B) {
 // 64-rung ladder with the clock-invariant work hoisted. Held at 0 allocs/op.
 func BenchmarkSweepLadder(b *testing.B) {
 	m := testModel()
-	be, err := NewBatchEstimator(m)
-	if err != nil {
-		b.Fatal(err)
-	}
 	a := fullActivity()
 	ladder := make([]float64, 64)
 	for i := range ladder {
 		ladder[i] = 500 + float64(i)*15
 	}
-	sc := GetScratch()
-	defer PutScratch(sc)
-	sc.Grow(len(ladder))
+	totals := make([]float64, len(ladder))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := be.SweepLadderInto(&a, ladder, sc.Totals); err != nil {
+		if err := m.SweepLadderInto(&a, ladder, totals); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(len(ladder)), "rungs/op")
 }
 
-// BenchmarkSweepLadderScalar is the pre-batch sweep reference: re-deriving
-// the full estimate at every rung.
+// BenchmarkSweepLadderScalar is the ladder's oracle timed: the full
+// estimate re-derived at every rung.
 func BenchmarkSweepLadderScalar(b *testing.B) {
 	m := testModel()
 	a := fullActivity()

@@ -52,8 +52,11 @@ type Model struct {
 	TunedVariant string
 }
 
-// Validate checks that the model is usable.
+// Validate checks that the model is usable. A nil model is not.
 func (m *Model) Validate() error {
+	if m == nil {
+		return fmt.Errorf("core: nil model")
+	}
 	if m.Arch == nil {
 		return fmt.Errorf("core: model has no architecture")
 	}
@@ -160,11 +163,17 @@ func (b *Breakdown) Top(n int) []Component {
 	return idx[:n]
 }
 
-// Estimate evaluates the power model for one activity window (Eq. 10).
-func (m *Model) Estimate(a Activity) (Breakdown, error) {
-	var b Breakdown
+// EstimateInto evaluates the power model for one activity window (Eq. 10)
+// into b, overwriting every component, with no allocation. It is the only
+// implementation of the equation: Estimate, EstimateTrace, validation, the
+// serving gateway and the attribution collector all call it, and
+// SweepLadderInto's oracle is a loop over it. On an invalid activity b is
+// zeroed and the activity's validation error returned. The model itself is
+// not checked here; callers validate it once (Validate).
+func (m *Model) EstimateInto(a *Activity, b *Breakdown) error {
 	if err := a.Validate(); err != nil {
-		return b, err
+		*b = Breakdown{}
+		return err
 	}
 	clock := a.ClockMHz
 	if clock == 0 {
@@ -182,6 +191,9 @@ func (m *Model) Estimate(a Activity) (Breakdown, error) {
 	for i := 0; i < NumDynComponents; i++ {
 		b.Watts[i] = a.Counts[i] * m.BaseEnergyPJ[i] * m.Scale[i] * 1e-12 * vRatio * vRatio / timeS
 	}
+	for i := NumDynComponents; i < NumComponents; i++ {
+		b.Watts[i] = 0
+	}
 
 	// Static power per active SM with y active lanes (Eq. 9): the
 	// chip-level divergence model at RefSMs, divided by RefSMs, times the
@@ -194,8 +206,7 @@ func (m *Model) Estimate(a Activity) (Breakdown, error) {
 		if m.TempCoeff != 0 && a.TemperatureC != 0 {
 			tempF = math.Exp(m.TempCoeff * (a.TemperatureC - 65))
 		}
-		div := m.Div[a.Mix]
-		perSM := div.ChipStaticW(a.AvgLanes) / float64(m.RefSMs)
+		perSM := m.Div[a.Mix].ChipStaticW(a.AvgLanes) / float64(m.RefSMs)
 		b.Watts[CompStatic] = perSM * k * vRatio * tempF
 		idle := float64(m.Arch.NumSMs) - k
 		if idle < 0 {
@@ -204,7 +215,14 @@ func (m *Model) Estimate(a Activity) (Breakdown, error) {
 		b.Watts[CompIdleSM] = m.IdleSMW * idle * vRatio * tempF
 	}
 	b.Watts[CompConst] = m.ConstW
-	return b, nil
+	return nil
+}
+
+// Estimate is EstimateInto returning the breakdown by value.
+func (m *Model) Estimate(a Activity) (Breakdown, error) {
+	var b Breakdown
+	err := m.EstimateInto(&a, &b)
+	return b, err
 }
 
 // EstimatePower is Estimate returning only total watts.
@@ -218,20 +236,128 @@ func (m *Model) EstimatePower(a Activity) (float64, error) {
 
 // EstimateTrace evaluates the model over a sequence of sampling windows
 // (the cycle-level power trace of Section 5.2) and returns per-window total
-// watts plus the time-weighted average power. It runs on the batch engine
-// (one table resolution for the whole trace); per-window powers are
-// bit-identical to calling Estimate window by window.
+// watts plus the time-weighted average power. The model is validated once,
+// then each window goes through EstimateInto.
 func (m *Model) EstimateTrace(windows []Activity) ([]float64, float64, error) {
-	be, err := NewBatchEstimator(m)
-	if err != nil {
+	if err := m.Validate(); err != nil {
 		return nil, 0, err
 	}
 	out := make([]float64, len(windows))
-	avg, err := be.EstimateTraceInto(windows, out)
-	if err != nil {
-		return nil, 0, err
+	var b Breakdown
+	var energy, time float64
+	for i := range windows {
+		if err := m.EstimateInto(&windows[i], &b); err != nil {
+			return nil, 0, fmt.Errorf("window %d: %w", i, err)
+		}
+		p := b.Total()
+		out[i] = p
+		clock := windows[i].ClockMHz
+		if clock == 0 {
+			clock = m.Arch.BaseClockMHz
+		}
+		t := windows[i].Cycles / (clock * 1e6)
+		energy += p * t
+		time += t
 	}
-	return out, avg, nil
+	if time == 0 {
+		return out, 0, nil
+	}
+	return out, energy / time, nil
+}
+
+// SweepLadderInto evaluates one activity across a DVFS clock ladder, writing
+// the total watts of each rung into totals (len(totals) must be >=
+// len(clocksMHz)). Each totals[j] is bit-identical to EstimateInto with
+// ClockMHz = clocksMHz[j] followed by Breakdown.Total; a zero rung clock
+// selects the base clock, and a zero a.Voltage resolves per rung from the
+// architecture's V-f curve, exactly as there.
+//
+// Everything clock-invariant is hoisted out of the rung loop: validation,
+// the divergence model, the temperature factor, the static and idle-SM
+// products, and the prefix counts*base*scale*1e-12 of the dynamic term's
+// left-to-right multiplication chain
+//
+//	(((((counts*base)*scale)*1e-12)*vRatio)*vRatio)/timeS
+//
+// Floating-point multiplication is not associative, so only a prefix may be
+// hoisted: naming an intermediate is not reassociation, and every rung
+// therefore rounds exactly as EstimateInto does. Each rung then costs two
+// multiplies and a divide per dynamic component. Tests hold the ladder to
+// its per-rung EstimateInto oracle bit for bit.
+func (m *Model) SweepLadderInto(a *Activity, clocksMHz []float64, totals []float64) error {
+	if len(totals) < len(clocksMHz) {
+		return fmt.Errorf("core: ladder output holds %d totals for %d rungs", len(totals), len(clocksMHz))
+	}
+	if err := a.Validate(); err != nil {
+		return err
+	}
+
+	var dyn [NumDynComponents]float64
+	for i := 0; i < NumDynComponents; i++ {
+		dyn[i] = a.Counts[i] * m.BaseEnergyPJ[i] * m.Scale[i] * 1e-12
+	}
+	k := a.ActiveSMs
+	var hStatic, hIdle, tempF float64
+	if k > 0 {
+		tempF = 1.0
+		if m.TempCoeff != 0 && a.TemperatureC != 0 {
+			tempF = math.Exp(m.TempCoeff * (a.TemperatureC - 65))
+		}
+		perSM := m.Div[a.Mix].ChipStaticW(a.AvgLanes) / float64(m.RefSMs)
+		hStatic = perSM * k
+		idle := float64(m.Arch.NumSMs) - k
+		if idle < 0 {
+			idle = 0
+		}
+		hIdle = m.IdleSMW * idle
+	}
+	baseVolt := m.Arch.BaseVoltage()
+
+	for j, clock := range clocksMHz {
+		if clock == 0 {
+			clock = m.Arch.BaseClockMHz
+		}
+		volt := a.Voltage
+		if volt == 0 {
+			volt = m.Arch.Voltage(clock)
+		}
+		vRatio := volt / baseVolt
+		timeS := a.Cycles / (clock * 1e6)
+
+		// Accumulate in component-index order, exactly as Breakdown.Total
+		// sums Watts[0..24]: dynamic components, then static, idle-SM, and
+		// constant. When k <= 0 the static terms are literal zeros, matching
+		// the zeroed breakdown slots EstimateInto leaves behind.
+		t := 0.0
+		for i := 0; i < NumDynComponents; i++ {
+			t += dyn[i] * vRatio * vRatio / timeS
+		}
+		if k > 0 {
+			t += hStatic * vRatio * tempF
+			t += hIdle * vRatio * tempF
+		} else {
+			t += 0.0
+			t += 0.0
+		}
+		t += m.ConstW
+		totals[j] = t
+	}
+	return nil
+}
+
+// BatchEstimator is the model itself.
+//
+// Deprecated: call the Model's methods directly.
+type BatchEstimator = Model
+
+// NewBatchEstimator validates m and returns it.
+//
+// Deprecated: validate the model with Validate and call its methods.
+func NewBatchEstimator(m *Model) (*BatchEstimator, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Derivation records how a derived model was produced from a tuned base —

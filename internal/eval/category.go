@@ -60,7 +60,7 @@ func (cv *CategoryValidation) Category(cat workloads.Category) *CategoryResult {
 
 // ValidateByCategory runs one variant's validation over a category-tagged
 // suite (typically workloads.InferencePack) through the execution engine
-// and the zero-allocation batch-estimation path — the exact ValidateExec
+// and the model's zero-allocation EstimateInto — the exact ValidateExec
 // computation — then folds the per-kernel rows into per-category MAPE and
 // absolute error, publishing aw_category_mape_pct{category,variant}.
 func ValidateByCategory(ex *tune.Exec, model *core.Model, v tune.Variant, suite []workloads.Kernel) (*CategoryValidation, error) {

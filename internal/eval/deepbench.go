@@ -28,14 +28,11 @@ type DeepBenchResult struct {
 // kernel groups (device noise is keyed by operating point, not call order),
 // so the figures are identical at every worker count.
 func DeepBenchStudyExec(ex *tune.Exec, model *core.Model, suite []workloads.DeepBenchmark) ([]DeepBenchResult, float64, error) {
-	// One table resolution for the whole study; estimators are read-only
-	// after construction, so sharing one across the worker fan-out is safe.
-	be, err := core.NewBatchEstimator(model)
-	if err != nil {
+	if err := model.Validate(); err != nil {
 		return nil, 0, err
 	}
 	out, err := tune.Map(ex, suite, func(tb *tune.Testbench, db workloads.DeepBenchmark) (DeepBenchResult, error) {
-		return deepBenchOne(tb, be, db)
+		return deepBenchOne(tb, model, db)
 	})
 	if err != nil {
 		return nil, 0, err
@@ -54,7 +51,7 @@ func DeepBenchStudyExec(ex *tune.Exec, model *core.Model, suite []workloads.Deep
 
 // deepBenchOne replays one benchmark's kernel groups on silicon and on the
 // simulator and combines group powers energy-weighted.
-func deepBenchOne(tb *tune.Testbench, be *core.BatchEstimator, db workloads.DeepBenchmark) (DeepBenchResult, error) {
+func deepBenchOne(tb *tune.Testbench, model *core.Model, db workloads.DeepBenchmark) (DeepBenchResult, error) {
 	// Collect traces once per kernel (shared across replicas via the
 	// artifact store).
 	traces := make([]*trace.KernelTrace, len(db.Kernels))
@@ -86,7 +83,7 @@ func deepBenchOne(tb *tune.Testbench, be *core.BatchEstimator, db workloads.Deep
 			return DeepBenchResult{}, err
 		}
 		var bd core.Breakdown
-		if err := be.EstimateInto(&r.Aggregate, &bd); err != nil {
+		if err := model.EstimateInto(&r.Aggregate, &bd); err != nil {
 			return DeepBenchResult{}, fmt.Errorf("eval: deepbench %s: %w", db.Name, err)
 		}
 		p := bd.Total()

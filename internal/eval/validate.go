@@ -67,25 +67,11 @@ func (k *KernelResult) RelErrPct() float64 {
 // power) holds by construction. This is the single-shot estimation path —
 // the validation loop below and the serving layer (internal/serve) both go
 // through it, which is what makes a served estimate provably the same
-// computation awvalidate performs.
+// computation awvalidate performs. The breakdown is written in place by
+// Model.EstimateInto.
 func EstimateOne(model *core.Model, name string, measuredW float64, a core.Activity) (KernelResult, error) {
-	bd, err := model.Estimate(a)
-	if err != nil {
-		return KernelResult{}, fmt.Errorf("eval: %s: %w", name, err)
-	}
-	return KernelResult{Name: name, MeasuredW: measuredW, EstimatedW: bd.Total(), Breakdown: bd}, nil
-}
-
-// EstimateOneInto is EstimateOne through a pre-resolved batch estimator: the
-// zero-allocation hot path the validation loop below and the serving layer
-// use when they evaluate many activities against one model. The breakdown
-// is written in place into the returned KernelResult — no heap allocation —
-// and the result (values, error message, everything) is bit-identical to
-// EstimateOne on the estimator's model; the scalar path stays the oracle the
-// batch path is differentially tested against.
-func EstimateOneInto(be *core.BatchEstimator, name string, measuredW float64, a core.Activity) (KernelResult, error) {
 	kr := KernelResult{Name: name, MeasuredW: measuredW}
-	if err := be.EstimateInto(&a, &kr.Breakdown); err != nil {
+	if err := model.EstimateInto(&a, &kr.Breakdown); err != nil {
 		return KernelResult{}, fmt.Errorf("eval: %s: %w", name, err)
 	}
 	kr.EstimatedW = kr.Breakdown.Total()
@@ -141,10 +127,7 @@ func ValidateExec(ex *tune.Exec, model *core.Model, v tune.Variant, suite []work
 	kernelsDone := mKernels.With(v.String())
 	errHist := mAbsErrPct.With(v.String())
 	led := obs.ActiveLedger()
-	// One table resolution for the whole suite: the loop below estimates
-	// every kernel through the batch engine (bit-identical to EstimateOne).
-	be, err := core.NewBatchEstimator(model)
-	if err != nil {
+	if err := model.Validate(); err != nil {
 		return nil, fmt.Errorf("eval: variant %v: %w", v, err)
 	}
 	var meas, est []float64
@@ -175,7 +158,7 @@ func ValidateExec(ex *tune.Exec, model *core.Model, v tune.Variant, suite []work
 			}
 			measuredW, a = s.PowerW, s.Activity
 		}
-		kr, err := EstimateOneInto(be, k.Name, measuredW, a)
+		kr, err := EstimateOne(model, k.Name, measuredW, a)
 		if err != nil {
 			return nil, err
 		}

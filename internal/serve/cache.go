@@ -3,13 +3,18 @@ package serve
 import (
 	"container/list"
 	"sync"
+
+	"accelwattch/internal/attr"
+	"accelwattch/internal/obs"
 )
 
 // result is the unit of caching: the encoded response body (the exact
 // bytes every requester receives, which is what makes cached and
-// freshly-computed replies bit-identical) plus the attribution payload the
-// ledger wants per served estimate. Failed computations are never cached,
-// so a result in the cache is always a success. Validation leaves one way
+// freshly-computed replies bit-identical) plus the attribution payload of
+// every served estimate, computed once by the miss: the breakdown its
+// ledger event carries and the power-domain split it is charged by. Failed
+// computations are never cached, so a result in the cache is always a
+// success. Validation leaves one way
 // to fail: counts large enough, or cycles small enough, to make the watts
 // infinite or NaN, which JSON cannot carry; the encoder then fails with
 // json.Marshal's text ("json: unsupported value: +Inf") and the request
@@ -19,6 +24,7 @@ type result struct {
 	powerW float64
 	// breakdown is nil for sweeps (only estimates carry attribution).
 	breakdown map[string]float64
+	split     attr.Sample
 }
 
 // lruCache is a size-bounded LRU of canonical-key -> result, one shard per
@@ -27,11 +33,11 @@ type result struct {
 // against two models — can never alias. A zero or negative capacity
 // disables the cache entirely (Get always misses, Put drops).
 type lruCache struct {
-	mu    sync.Mutex
-	model string // owning unit's entry name, for cache-event metrics
-	cap   int
-	ll    *list.List // front = most recently used
-	m     map[string]*list.Element
+	mu        sync.Mutex
+	evictions *obs.Counter // the owning unit's eviction series
+	cap       int
+	ll        *list.List // front = most recently used
+	m         map[string]*list.Element
 }
 
 type lruEntry struct {
@@ -39,11 +45,11 @@ type lruEntry struct {
 	res result
 }
 
-func newLRUCache(model string, capacity int) *lruCache {
+func newLRUCache(capacity int, evictions *obs.Counter) *lruCache {
 	if capacity <= 0 {
 		return nil
 	}
-	return &lruCache{model: model, cap: capacity, ll: list.New(), m: make(map[string]*list.Element, capacity)}
+	return &lruCache{evictions: evictions, cap: capacity, ll: list.New(), m: make(map[string]*list.Element, capacity)}
 }
 
 // Get returns the cached result for key, refreshing its recency.
@@ -79,7 +85,7 @@ func (c *lruCache) Put(key string, res result) {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.m, oldest.Value.(*lruEntry).key)
-		mCacheEvents.With(c.model, "eviction").Inc()
+		c.evictions.Inc()
 	}
 }
 

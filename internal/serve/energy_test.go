@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"accelwattch/internal/attr"
+	"accelwattch/internal/core"
 	"accelwattch/internal/obs"
 )
 
@@ -67,7 +68,11 @@ func TestEstimateEnergyAttribution(t *testing.T) {
 		// The window is Cycles at the arch base clock (the body names no
 		// clock), so total joules must equal the split watts times that dt
 		// — the charge is a pure function of the request and the model.
-		s := attr.SplitMap(ev.Breakdown)
+		bd, err := core.BreakdownFromMap(ev.Breakdown)
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		s := attr.Split(&bd)
 		dtS := 1e6 / (testModel().Arch.BaseClockMHz * 1e6)
 		if rel := math.Abs(ev.JoulesTotal-s.TotalW()*dtS) / ev.JoulesTotal; rel > 1e-12 {
 			t.Fatalf("event %d: joules %g vs split*dt %g", i, ev.JoulesTotal, s.TotalW()*dtS)

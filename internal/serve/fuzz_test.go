@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -120,4 +125,75 @@ func FuzzCacheKey(f *testing.F) {
 // possible perturbation.
 func bump(v float64) float64 {
 	return math.Nextafter(v, math.Inf(1))
+}
+
+// FuzzAdminPut drives PUT /models/{name} with arbitrary bodies: a saved
+// model, a model wrapped with all_variants, or a derive spec. Entry
+// validation is the only model check between such a body and
+// Model.EstimateInto, so an accepted body must yield an entry that answers
+// an estimate under every variant it serves. The PUT must answer 200, 400,
+// 404, 409 or 413 (never a 5xx or a panic); after a 200 each served
+// variant's /estimate answers 200, or 400 when the model's watts overflow
+// what JSON can carry. One server serves every input, and each input's
+// entry is retired before the next, so a derive spec naming "fz" always
+// finds it retired. The seeds are compact saved models: the fuzzer spends
+// time minimizing every input that finds new coverage, quadratic in its
+// length.
+func FuzzAdminPut(f *testing.F) {
+	saved := func(fields string) []byte {
+		return fmt.Appendf(nil, `{"format":"accelwattch-model-v1","arch":"volta-gv100",%s,"base_energy_pj":{"alu":1.5,"regfile":0.8},"scale":{"alu":0.1,"regfile":0.1},"divergence":{"INT_FP":{"first_lane_w":30,"add_lane_w":0.7}}}`, fields)
+	}
+	model := saved(`"ref_sms":80,"const_w":32.5,"idle_sm_w":0.1`)
+	f.Add(model)
+	f.Add(fmt.Appendf(nil, `{"model":%s,"all_variants":true}`, saved(`"ref_sms":80,"const_w":32.5,"idle_sm_w":0.1,"tuned_variant":"HW"`)))
+	f.Add([]byte(`{"derive":{"from":"volta-base","arch":"pascal","const_mult":1.2}}`))
+	f.Add(saved(`"ref_sms":80,"const_w":32.5,"idle_sm_w":0.1,"tuned_variant":"HW","temp_coeff":0.02`))
+	f.Add(saved(`"ref_sms":-80,"const_w":32.5,"idle_sm_w":0.1`))
+	f.Add(saved(`"ref_sms":80,"const_w":-1,"idle_sm_w":0.1`))
+	f.Add(saved(`"ref_sms":80,"const_w":1e308,"idle_sm_w":1e308`))
+	f.Add([]byte(`{"format":"accelwattch-model-v1","arch":"volta-gv100"}`))
+	f.Add([]byte(`{"derive":{"from":"volta-base"}}`))
+	f.Add([]byte(`{"derive":{"from":"turing-derived","arch":"volta","const_mult":-3}}`))
+	f.Add([]byte(`{"derive":{"from":"fz","arch":"turing"}}`))
+	f.Add([]byte(`{"model":{},"derive":{}}`))
+	f.Add([]byte(`{}`))
+
+	s, err := New(Config{Zoo: testZoo(f)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer s.Close()
+	mux := s.Mux()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		defer func() {
+			if s.Entry("fz") != nil {
+				if err := s.Retire("fz"); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/models/fz", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusConflict, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("PUT answered %d: %s", rec.Code, rec.Body)
+		}
+		e := s.Entry("fz")
+		if e == nil {
+			t.Fatal("PUT answered 200 but fz is not installed")
+		}
+		for _, v := range e.Variants() {
+			est := fmt.Appendf(nil, `{"model":"fz","variant":%q,"cycles":1000000,"active_sms":40,"avg_lanes":16,"mix":"INT_FP","temperature_c":70,"counts":{"alu":1e9,"regfile":2e9,"dram_mc":3e7}}`, v)
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/estimate", bytes.NewReader(est)))
+			if rec.Code == http.StatusOK ||
+				rec.Code == http.StatusBadRequest && strings.Contains(rec.Body.String(), "json: unsupported value") {
+				continue
+			}
+			t.Fatalf("estimate on installed fz (%v) answered %d: %s", v, rec.Code, rec.Body)
+		}
+	})
 }

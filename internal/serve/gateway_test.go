@@ -18,7 +18,7 @@ import (
 
 // testZoo builds the Section 7.1 registry shape the gateway exists for:
 // a Volta base entry plus Pascal and Turing entries derived from it.
-func testZoo(t *testing.T) *zoo.Set {
+func testZoo(t testing.TB) *zoo.Set {
 	t.Helper()
 	base, err := zoo.Uniform("volta-base", testModel(), "test")
 	if err != nil {

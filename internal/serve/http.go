@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"accelwattch/internal/obs"
@@ -29,14 +30,22 @@ func (r *statusRecorder) WriteHeader(code int) {
 }
 
 // instrument wraps a handler with the per-route request counter and latency
-// histogram.
+// histogram. The route's latency series and its 200 counter are resolved
+// once, when the mux is built; other status codes look theirs up per
+// request.
 func instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+	ok := mRequests.With(route, "200")
+	latency := mLatency.With(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r)
-		mRequests.With(route, fmt.Sprintf("%d", rec.code)).Inc()
-		mLatency.With(route).Observe(time.Since(start).Seconds())
+		if rec.code == http.StatusOK {
+			ok.Inc()
+		} else {
+			mRequests.With(route, strconv.Itoa(rec.code)).Inc()
+		}
+		latency.Observe(time.Since(start).Seconds())
 	}
 }
 
@@ -134,19 +143,20 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeStatusErr(w, err)
 		return
 	}
-	be := u.estimator(req.Variant)
-	if be == nil {
+	v, err := ParseVariant(req.Variant)
+	m := u.entry.Model(v)
+	if err != nil || m == nil {
 		httpError(w, http.StatusBadRequest, "variant "+req.Variant+" not served")
 		return
 	}
 	res, err := s.answer(r.Context(), u, req.CacheKey(), func() (result, error) {
-		return estimateResultBatched(be, req)
+		return computeEstimate(m, req)
 	})
 	if err != nil {
 		failServe(w, err)
 		return
 	}
-	emitEstimate(u, req, res)
+	emitEstimate(u, v, req, res)
 	writeResult(w, res.body)
 }
 
@@ -175,13 +185,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeStatusErr(w, err)
 		return
 	}
-	be := u.estimator(req.Variant)
-	if be == nil {
+	v, err := ParseVariant(req.Variant)
+	m := u.entry.Model(v)
+	if err != nil || m == nil {
 		httpError(w, http.StatusBadRequest, "variant "+req.Variant+" not served")
 		return
 	}
 	res, err := s.answer(r.Context(), u, req.CacheKey(), func() (result, error) {
-		return sweepResultBatched(be, req)
+		return computeSweep(m, req)
 	})
 	if err != nil {
 		failServe(w, err)

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"sync"
 
+	"accelwattch/internal/attr"
 	"accelwattch/internal/core"
 	"accelwattch/internal/eval"
 	"accelwattch/internal/tune"
 )
 
-// scratch is the reusable per-computation buffer set of the batched paths:
-// the sweep's clock ladder and the per-rung totals the core ladder engine
+// scratch is the reusable per-computation buffer set of the hot paths:
+// the sweep's clock ladder and the per-rung totals the model's ladder path
 // writes into, and the buffer a response is encoded into. Buffers reset
 // (reslice to zero) rather than reallocate, so a warm server encodes
 // replies and computes sweeps of any previously-seen size without growing
@@ -24,19 +25,19 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// estimateResultBatched is estimateResult on the unit's pre-resolved batch
-// estimator: the same eval wrapper (EstimateOneInto is bit-identical to
-// EstimateOne) and the hand-written encoder, which writes the bytes
-// json.Marshal writes for the same response — so the body is provably equal
-// to the scalar reference path's, which the golden and determinism suites
-// assert end to end. The breakdown map is built once per miss: the ledger
-// event of this request and of every later hit carries it.
-func estimateResultBatched(be *core.BatchEstimator, req *EstimateRequest) (result, error) {
+// computeEstimate is estimateResult with the hand-written encoder: the same
+// EstimateOne call, and the encoder writes the bytes json.Marshal writes
+// for the same response — so the body is provably equal to the reference
+// path's, which the golden and determinism suites assert end to end. The
+// breakdown map and its power-domain split are built once per miss: the
+// ledger event and the energy charge of this request and of every later hit
+// reuse them.
+func computeEstimate(m *core.Model, req *EstimateRequest) (result, error) {
 	a, err := req.Activity()
 	if err != nil {
 		return result{}, err
 	}
-	kr, err := eval.EstimateOneInto(be, req.Name, 0, a)
+	kr, err := eval.EstimateOne(m, req.Name, 0, a)
 	if err != nil {
 		return result{}, err
 	}
@@ -46,16 +47,21 @@ func estimateResultBatched(be *core.BatchEstimator, req *EstimateRequest) (resul
 	if err != nil {
 		return result{}, err
 	}
-	return result{body: bytes.Clone(sc.body), powerW: kr.EstimatedW, breakdown: kr.Breakdown.Map()}, nil
+	return result{
+		body:      bytes.Clone(sc.body),
+		powerW:    kr.EstimatedW,
+		breakdown: kr.Breakdown.Map(),
+		split:     attr.Split(&kr.Breakdown),
+	}, nil
 }
 
-// sweepResultBatched is sweepResult through the ladder-specialized batch
-// path: the ladder, rung totals, and response body all live in pooled
-// buffers, and the whole DVFS curve is evaluated in one pass with the
-// clock-invariant work hoisted out of the rung loop. Each rung's power is
-// bit-identical to the scalar path's EstimateOne total, so the encoded
-// bytes match sweepResult exactly.
-func sweepResultBatched(be *core.BatchEstimator, req *SweepRequest) (result, error) {
+// computeSweep is sweepResult through Model.SweepLadderInto: the ladder,
+// rung totals, and response body all live in pooled buffers, and the whole
+// DVFS curve is evaluated in one pass with the clock-invariant work hoisted
+// out of the rung loop. Each rung's power is bit-identical to the reference
+// path's per-rung EstimateOne total, so the encoded bytes match sweepResult
+// exactly.
+func computeSweep(m *core.Model, req *SweepRequest) (result, error) {
 	a, err := req.Activity()
 	if err != nil {
 		return result{}, err
@@ -69,7 +75,7 @@ func sweepResultBatched(be *core.BatchEstimator, req *SweepRequest) (result, err
 	} else {
 		sc.totals = sc.totals[:len(sc.clocks)]
 	}
-	if err := be.SweepLadderInto(&a, sc.clocks, sc.totals); err != nil {
+	if err := m.SweepLadderInto(&a, sc.clocks, sc.totals); err != nil {
 		return result{}, err
 	}
 	sc.body, err = appendSweepResponse(sc.body[:0], req.Variant, sc.clocks, sc.totals)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"slices"
 	"sync"
 	"time"
 
@@ -96,11 +95,11 @@ func statusErrorf(code int, format string, args ...any) *statusError {
 }
 
 // unit is one model-scoped serving unit: an immutable zoo entry plus the
-// serving state scoped to it — its response-cache shard and the per-variant
-// model fingerprints the admin listing reports. Units are immutable once
-// installed; hot add/swap/retire replaces the map slot, never the unit, so a
-// request that resolved a unit keeps a consistent model for its whole
-// lifetime.
+// serving state scoped to it — its response-cache shard, the per-variant
+// model fingerprints the admin listing reports, and the metric series its
+// requests update. Units are immutable once installed; hot add/swap/retire
+// replaces the map slot, never the unit, so a request that resolved a unit
+// keeps a consistent model for its whole lifetime.
 type unit struct {
 	entry *zoo.Entry
 	fps   [tune.NumVariants]string
@@ -111,45 +110,35 @@ type unit struct {
 	// per-request accounting is two atomic adds.
 	energy *attr.Handle
 
-	// bes are the per-variant batch estimators: the model's coefficient
-	// tables pre-resolved once per model at install time, so the request
-	// hot path never re-derives them. Variants sharing one model share one
-	// estimator; a nil slot is a variant the entry does not serve.
-	bes [tune.NumVariants]*core.BatchEstimator
+	// The per-request series the unit can emit, resolved at install (so
+	// exported from 0): bypass without a cache, hit and miss with one (the
+	// cache counts evictions), an estimates series per served variant, and
+	// the mismatch counter in each slot whose model records another tuned
+	// variant (nil, a no-op, elsewhere). A request in flight when Retire
+	// deletes them updates orphaned handles and recreates nothing.
+	bypass, hit, miss *obs.Counter
+	estimates         [tune.NumVariants]*obs.Counter
+	mismatch          [tune.NumVariants]*obs.Counter
 }
 
-func newUnit(e *zoo.Entry, cacheSize int) (*unit, error) {
-	u := &unit{entry: e}
+func newUnit(e *zoo.Entry, cacheSize int) *unit {
+	name := e.Name
+	u := &unit{entry: e, energy: mEnergy.Handle(name)}
+	if cacheSize > 0 {
+		u.cache = newLRUCache(cacheSize, mCacheEvents.With(name, "eviction"))
+		u.hit = mCacheEvents.With(name, "hit")
+		u.miss = mCacheEvents.With(name, "miss")
+	} else {
+		u.bypass = mCacheEvents.With(name, "bypass")
+	}
 	for _, v := range e.Variants() {
 		u.fps[v] = e.Fingerprint(v)
-		m := e.Model(v)
-		for w, prev := range u.bes {
-			if prev != nil && prev.Model() == m {
-				u.bes[v] = u.bes[w]
-				break
-			}
-		}
-		if u.bes[v] == nil {
-			be, err := core.NewBatchEstimator(m)
-			if err != nil {
-				return nil, fmt.Errorf("serve: model %s, variant %v: %w", e.Name, v, err)
-			}
-			u.bes[v] = be
+		u.estimates[v] = mEstimates.With(name, v.String())
+		if _, mismatch := e.TunedVariantMismatch(v); mismatch {
+			u.mismatch[v] = mVariantMismatch.With(name)
 		}
 	}
-	u.cache = newLRUCache(e.Name, cacheSize)
-	u.energy = mEnergy.Handle(e.Name)
-	return u, nil
-}
-
-// estimator returns the unit's batch estimator for a variant name, or nil
-// when the unit does not serve that variant.
-func (u *unit) estimator(variant string) *core.BatchEstimator {
-	v, err := ParseVariant(variant)
-	if err != nil {
-		return nil
-	}
-	return u.bes[v]
+	return u
 }
 
 // Server is the power-estimation gateway: a registry of model-scoped
@@ -222,11 +211,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: %d models configured, cap is %d", len(set.Entries), s.maxModels)
 	}
 	for _, e := range set.Entries {
-		u, err := newUnit(e, s.cacheSize)
-		if err != nil {
-			return nil, err
-		}
-		s.units[e.Name] = u
+		s.units[e.Name] = newUnit(e, s.cacheSize)
 		s.states[e.Name] = StateReady
 		s.order = append(s.order, e.Name)
 		mModelState.With(e.Name).Set(stateValue(StateReady))
@@ -337,8 +322,7 @@ func (s *Server) resolveUnit(model, arch string) (*unit, error) {
 // draining: the new unit is built off-lock, then swapped into the registry
 // under the write lock. Requests that already resolved the old unit finish
 // on it — zero in-flight responses change — and requests arriving after the
-// swap see the new model. The transitional state is visible as "deriving";
-// if the build fails, the entry's previous state is restored.
+// swap see the new model. The transitional state is visible as "deriving".
 func (s *Server) AddEntry(e *zoo.Entry) error {
 	if e == nil {
 		return statusErrorf(400, "serve: nil entry")
@@ -355,11 +339,10 @@ func (s *Server) AddEntry(e *zoo.Entry) error {
 		s.umu.Unlock()
 		return statusErrorf(409, "serve: model registry is full (%d entries); retire one first", s.maxModels)
 	}
-	prevState, listed := s.states[e.Name], s.listedLocked(e.Name)
 	s.states[e.Name] = StateDeriving
 	// List the name immediately so /healthz and /readyz report the install
 	// in its transitional "deriving" state, not only after it lands.
-	if !listed {
+	if !s.listedLocked(e.Name) {
 		s.order = append(s.order, e.Name)
 	}
 	mModelState.With(e.Name).Set(stateValue(StateDeriving))
@@ -368,23 +351,10 @@ func (s *Server) AddEntry(e *zoo.Entry) error {
 	if s.testHookAdmin != nil {
 		s.testHookAdmin(e.Name)
 	}
-	u, err := newUnit(e, s.cacheSize)
+	u := newUnit(e, s.cacheSize)
 
 	s.umu.Lock()
 	defer s.umu.Unlock()
-	if err != nil {
-		if prevState == "" {
-			delete(s.states, e.Name)
-			mModelState.DeleteLabel("model", e.Name)
-		} else {
-			s.states[e.Name] = prevState
-			mModelState.With(e.Name).Set(stateValue(prevState))
-		}
-		if !listed {
-			s.order = slices.DeleteFunc(s.order, func(n string) bool { return n == e.Name })
-		}
-		return err
-	}
 	s.units[e.Name] = u
 	s.states[e.Name] = StateReady
 	if !s.listedLocked(e.Name) {
@@ -466,39 +436,44 @@ func (s *Server) pruneTombstonesLocked() {
 // answer resolves one validated request through the unit's cache shard,
 // computing on a miss. A miss must first be admitted — at most
 // Workers+QueueSize computations are admitted at once, and Drain waits for
-// every one — then waits, until the deadline or the client gives up, for
-// one of the Workers compute slots. The computation then runs to the end in
-// the caller's goroutine and lands in the cache. A hit takes no slot. The
-// returned result is shared — callers must not mutate it.
+// every one — then takes one of the Workers compute slots. When none is
+// free it waits, until the deadline or the client gives up; only that
+// waiting path builds the deadline context and counts in the queue depth.
+// The computation then runs to the end in the caller's goroutine and lands
+// in the cache. A hit takes no slot. The returned result is shared —
+// callers must not mutate it.
 func (s *Server) answer(ctx context.Context, u *unit, key string, compute func() (result, error)) (result, error) {
-	name := u.entry.Name
 	if res, ok := u.cache.Get(key); ok {
-		mCacheEvents.With(name, "hit").Inc()
+		u.hit.Inc()
 		return res, nil
 	}
 	if u.cache == nil {
-		mCacheEvents.With(name, "bypass").Inc()
+		u.bypass.Inc()
 	} else {
-		mCacheEvents.With(name, "miss").Inc()
+		u.miss.Inc()
 	}
 	if err := s.admit(); err != nil {
 		return result{}, err
 	}
 	defer s.release()
-	ctx, cancel := context.WithTimeout(ctx, s.deadline)
-	defer cancel()
-	mQueueDepth.Add(1)
 	select {
 	case s.slots <- struct{}{}:
-		mQueueDepth.Add(-1)
-	case <-ctx.Done():
-		mQueueDepth.Add(-1)
-		if errors.Is(ctx.Err(), context.Canceled) {
-			mRejected.With("canceled").Inc()
-		} else {
-			mRejected.With("deadline").Inc()
+	default:
+		ctx, cancel := context.WithTimeout(ctx, s.deadline)
+		defer cancel()
+		mQueueDepth.Add(1)
+		select {
+		case s.slots <- struct{}{}:
+			mQueueDepth.Add(-1)
+		case <-ctx.Done():
+			mQueueDepth.Add(-1)
+			if errors.Is(ctx.Err(), context.Canceled) {
+				mRejected.With("canceled").Inc()
+			} else {
+				mRejected.With("deadline").Inc()
+			}
+			return result{}, ctx.Err()
 		}
-		return result{}, ctx.Err()
 	}
 	defer func() { <-s.slots }()
 	if s.testHookCompute != nil {
@@ -575,11 +550,11 @@ func (s *Server) Close() {
 }
 
 // estimateResult evaluates one request against a model and marshals the
-// response — the scalar reference path. The request hot path runs
-// estimateResultBatched (pool.go) instead, against the unit's pre-resolved
-// batch estimator; the two produce bit-identical bytes (the batch engine's
-// core contract), so the single-shot reference below and the served
-// responses remain provably the same computation for every zoo entry.
+// response with encoding/json — the reference path. The request hot path
+// runs computeEstimate (pool.go) instead: the same EstimateOne call and
+// the hand-written encoder, which writes the bytes json.Marshal writes, so
+// the reference below and the served responses are provably the same
+// computation for every zoo entry.
 func estimateResult(m *core.Model, req *EstimateRequest) (result, error) {
 	a, err := req.Activity()
 	if err != nil {
@@ -597,8 +572,9 @@ func estimateResult(m *core.Model, req *EstimateRequest) (result, error) {
 	return result{body: body, powerW: kr.EstimatedW, breakdown: resp.Breakdown}, nil
 }
 
-// sweepResult evaluates the activity across the frequency ladder — the
-// scalar reference path; the hot path is sweepResultBatched (pool.go).
+// sweepResult evaluates the activity across the frequency ladder one rung
+// at a time — the reference path; the hot path is computeSweep (pool.go),
+// which runs the whole ladder through Model.SweepLadderInto.
 func sweepResult(m *core.Model, req *SweepRequest) (result, error) {
 	a, err := req.Activity()
 	if err != nil {
@@ -623,8 +599,9 @@ func sweepResult(m *core.Model, req *SweepRequest) (result, error) {
 }
 
 // EstimateOnce is the single-shot reference path: decode, validate, and
-// evaluate one estimate body against one model on the scalar eval path,
-// with no gateway, admission, batch estimator, or cache in the way. The
+// evaluate one estimate body against one model through eval.EstimateOne,
+// with no gateway, admission, ladder path, hand-written encoder or cache in
+// the way. The
 // serving determinism suite asserts that what the HTTP service returns
 // under concurrency — for tuned and derived entries alike — is
 // bit-identical to these bytes.
@@ -668,40 +645,34 @@ func SweepOnce(m *core.Model, body []byte) ([]byte, error) {
 // of concurrent counter adds is not ordered — the collector pipeline in
 // internal/attr is the bit-reproducibility reference, this is the live
 // traffic view.
-func emitEstimate(u *unit, req *EstimateRequest, res result) {
-	name := u.entry.Name
-	mEstimates.With(name, req.Variant).Inc()
+func emitEstimate(u *unit, v tune.Variant, req *EstimateRequest, res result) {
+	u.estimates[v].Inc()
+	// A model tagged as tuned under one variant answering for another is a
+	// modelling smell the operator opted into (all_variants); make it
+	// loudly visible without per-request log spam.
+	u.mismatch[v].Inc()
 	var activeJ, idleJ float64
 	charged := false
-	if v, err := ParseVariant(req.Variant); err == nil {
-		// A model tagged as tuned under one variant answering for another
-		// is a modelling smell the operator opted into (all_variants);
-		// make it loudly visible without per-request log spam.
-		if _, mismatch := u.entry.TunedVariantMismatch(v); mismatch {
-			mVariantMismatch.With(name).Inc()
+	if m := u.entry.Model(v); m != nil && res.breakdown != nil {
+		clock := req.ClockMHz
+		if clock == 0 {
+			clock = m.Arch.BaseClockMHz
 		}
-		if m := u.entry.Model(v); m != nil && res.breakdown != nil {
-			clock := req.ClockMHz
-			if clock == 0 {
-				clock = m.Arch.BaseClockMHz
-			}
-			if dtS := req.Cycles / (clock * 1e6); dtS > 0 && !math.IsInf(dtS, 0) {
-				s := attr.SplitMap(res.breakdown)
-				activeJ, idleJ = s.ActiveW*dtS, s.IdleW*dtS
-				u.energy.Account(activeJ, idleJ)
-				u.energy.SetWatts(res.powerW)
-				charged = true
-			}
+		if dtS := req.Cycles / (clock * 1e6); dtS > 0 && !math.IsInf(dtS, 0) {
+			activeJ, idleJ = res.split.ActiveW*dtS, res.split.IdleW*dtS
+			u.energy.Account(activeJ, idleJ)
+			u.energy.SetWatts(res.powerW)
+			charged = true
 		}
 	}
 	if led := obs.ActiveLedger(); led != nil && res.breakdown != nil {
 		ev := obs.Event{
 			Kind: obs.KindBreakdown, Stage: "serve/estimate",
-			Workload: req.Name, Variant: req.Variant, Detail: name,
+			Workload: req.Name, Variant: req.Variant, Detail: u.entry.Name,
 			PowerW: res.powerW, Breakdown: res.breakdown,
 		}
 		if charged {
-			ev.Tenant = name
+			ev.Tenant = u.entry.Name
 			ev.Ticks = 1
 			ev.JoulesActive, ev.JoulesIdle = activeJ, idleJ
 			ev.JoulesTotal = activeJ + idleJ

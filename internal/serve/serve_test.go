@@ -261,7 +261,7 @@ func TestCacheKeyCanonical(t *testing.T) {
 }
 
 func TestLRUCache(t *testing.T) {
-	c := newLRUCache("test", 2)
+	c := newLRUCache(2, nil)
 	c.Put("a", result{powerW: 1})
 	c.Put("b", result{powerW: 2})
 	if _, ok := c.Get("a"); !ok {
@@ -297,7 +297,7 @@ func TestLRUCache(t *testing.T) {
 	if off.Len() != 0 {
 		t.Fatal("nil cache has nonzero length")
 	}
-	if newLRUCache("test", 0) != nil {
+	if newLRUCache(0, nil) != nil {
 		t.Fatal("capacity 0 should disable the cache")
 	}
 }

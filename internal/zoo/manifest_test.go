@@ -12,7 +12,7 @@ import (
 	"accelwattch/internal/tune"
 )
 
-func saveTestModel(t *testing.T, dir, name, tunedVariant string) string {
+func saveTestModel(t testing.TB, dir, name, tunedVariant string) string {
 	t.Helper()
 	m := testModel(t, config.Volta())
 	m.TunedVariant = tunedVariant

@@ -9,7 +9,7 @@ import (
 	"accelwattch/internal/tune"
 )
 
-func testModel(t *testing.T, arch *config.Arch) *core.Model {
+func testModel(t testing.TB, arch *config.Arch) *core.Model {
 	t.Helper()
 	m := &core.Model{
 		Arch:         arch,
