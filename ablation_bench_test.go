@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"accelwattch/internal/core"
-	"accelwattch/internal/qp"
 	"accelwattch/internal/stats"
 	"accelwattch/internal/tune"
 	"accelwattch/internal/ubench"
@@ -194,8 +193,7 @@ func BenchmarkAblationUnconstrainedQP(b *testing.B) {
 	var conMAPE, unconMAPE float64
 	var violations int
 	for it := 0; it < b.N; it++ {
-		opts := qp.DefaultOptions()
-		best, _, err := tb.TuneDynamic(samples, tune.SASSSIM, &skeleton, opts)
+		best, _, err := tb.TuneDynamic(samples, tune.SASSSIM, &skeleton)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,7 +203,7 @@ func BenchmarkAblationUnconstrainedQP(b *testing.B) {
 		// widening every ratio beyond reach.
 		saved := core.OrderConstraints
 		core.OrderConstraints = nil
-		bestU, _, err := tb.TuneDynamic(samples, tune.SASSSIM, &skeleton, opts)
+		bestU, _, err := tb.TuneDynamic(samples, tune.SASSSIM, &skeleton)
 		core.OrderConstraints = saved
 		if err != nil {
 			b.Fatal(err)

@@ -70,10 +70,6 @@ type (
 	// injector (internal/faults): Gaussian noise, quantization, EMA lag,
 	// transient errors, dropped samples, stuck-at readings, and spikes.
 	FaultProfile = faults.Profile
-	// MeterPolicy governs how the tuning pipeline measures through an
-	// unreliable meter: retries, median-of-repeats, outlier rejection,
-	// robust fits, and quarantine thresholds.
-	MeterPolicy = tune.MeterPolicy
 	// FaultStats counts the faults a session's meter actually injected.
 	FaultStats = faults.Stats
 )
@@ -104,7 +100,6 @@ type Session struct {
 	tuned   *tune.Result
 	arch    *Arch
 	scale   Scale
-	ctx     context.Context
 	workers int
 }
 
@@ -114,25 +109,17 @@ func NewSession(arch *Arch, sc Scale) (*Session, error) {
 	return NewSessionWithOptions(arch, sc, SessionOptions{})
 }
 
-// NewSessionWithContext is NewSession with cancellation and options: ctx
-// aborts the tuning pipeline (and later evaluation calls) mid-flight.
-func NewSessionWithContext(ctx context.Context, arch *Arch, sc Scale, opts SessionOptions) (*Session, error) {
-	return newSession(ctx, arch, sc, opts)
-}
-
 // SessionOptions customises how a session measures and tunes. The zero
-// value reproduces NewSession exactly: a clean meter and the default
+// value reproduces NewSession exactly: a clean meter and the clean
 // measurement policy, bit-identical to the unhardened pipeline. Every
 // operating point is measured in process, by the engine's worker replicas.
 type SessionOptions struct {
 	// Faults wires a deterministic fault injector between the tuning
 	// pipeline and the synthetic-silicon power meter. Nil (or a profile
-	// with every injector off) keeps the clean meter.
+	// with every injector off) keeps the clean meter. An enabled profile
+	// installs the hardened measurement policy (repeats, outlier
+	// rejection, robust fits, quarantine; see tune.MeterPolicy).
 	Faults *FaultProfile
-	// Meter overrides the measurement policy. Nil selects the default
-	// policy for a clean meter and the hardened policy (repeats, outlier
-	// rejection, robust fits, quarantine) when Faults is enabled.
-	Meter *MeterPolicy
 
 	// Workers sets the execution-engine pool size used for tuning and
 	// evaluation: 0 means GOMAXPROCS, values < 0 mean 1. Results are
@@ -150,13 +137,6 @@ func NamedFaultProfile(name string, seed int64) (FaultProfile, error) {
 // NamedFaultProfiles lists the canned fault-profile names.
 func NamedFaultProfiles() []string { return faults.Names() }
 
-// NewSessionWithOptions is NewSession with measurement robustness knobs:
-// an optional fault-injected meter, an explicit measurement policy, and the
-// execution-engine worker count.
-func NewSessionWithOptions(arch *Arch, sc Scale, opts SessionOptions) (*Session, error) {
-	return newSession(context.Background(), arch, sc, opts)
-}
-
 // NewWorkerTestbench builds the measurement testbench exactly as a session
 // would — same fault-injector wrapping, same policy selection — without
 // running the tuning pipeline, for callers that drive the testbench's
@@ -166,30 +146,23 @@ func NewWorkerTestbench(arch *Arch, sc Scale, opts SessionOptions) (*tune.Testbe
 	if err != nil {
 		return nil, err
 	}
-	faulty := opts.Faults != nil && opts.Faults.Enabled()
 	if opts.Faults != nil {
 		fm, err := faults.NewFaultyMeter(tb.Device, *opts.Faults)
 		if err != nil {
 			return nil, err
 		}
 		pol := tune.DefaultMeterPolicy()
-		if faulty {
+		if opts.Faults.Enabled() {
 			pol = tune.HardenedMeterPolicy()
 		}
-		if opts.Meter != nil {
-			pol = *opts.Meter
-		}
 		tb.UseMeter(fm, pol)
-	} else if opts.Meter != nil {
-		tb.UseMeter(tb.Device, *opts.Meter)
 	}
 	return tb, nil
 }
 
-func newSession(ctx context.Context, arch *Arch, sc Scale, opts SessionOptions) (*Session, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// NewSessionWithOptions is NewSession with an optional fault-injected
+// meter and the execution-engine worker count.
+func NewSessionWithOptions(arch *Arch, sc Scale, opts SessionOptions) (*Session, error) {
 	workers := opts.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -203,7 +176,7 @@ func newSession(ctx context.Context, arch *Arch, sc Scale, opts SessionOptions) 
 	}
 	// The engine is built after UseMeter so replicas wrap the installed
 	// meter (fault state is shared across replicas; see internal/faults).
-	ex, err := tune.NewExec(ctx, tb, workers)
+	ex, err := tune.NewExec(context.Background(), tb, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -212,14 +185,12 @@ func newSession(ctx context.Context, arch *Arch, sc Scale, opts SessionOptions) 
 	// nests session -> stage -> workload even for post-tune work.
 	sessSpan := obs.StartSpan("session").WithDetail(arch.Name)
 	ex.WithSpan(sessSpan)
-	tuneOpts := tb.DefaultOptions()
-	tuneOpts.Workers = workers
-	tuned, err := ex.Tune(tuneOpts)
+	tuned, err := ex.Tune(tune.Options{})
 	sessSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	return &Session{tb: tb, ex: ex, tuned: tuned, arch: arch, scale: sc, ctx: ctx, workers: workers}, nil
+	return &Session{tb: tb, ex: ex, tuned: tuned, arch: arch, scale: sc, workers: workers}, nil
 }
 
 // Workers returns the execution-engine pool size the session tunes and
@@ -306,7 +277,7 @@ func (s *Session) ValidateAll() (map[Variant]*ValidationResult, error) {
 // CaseStudy applies this session's Volta-tuned model to another
 // architecture without retuning (Section 7.1).
 func (s *Session) CaseStudy(target *Arch) (*eval.CaseStudyResult, error) {
-	return eval.CaseStudyContext(s.ctx, s.tuned, target, s.scale, s.workers)
+	return eval.CaseStudy(s.tuned, target, s.scale, s.workers)
 }
 
 // DeepBench runs the Section 7.2 case study with the SASS SIM model.

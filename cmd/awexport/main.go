@@ -38,6 +38,7 @@ import (
 
 	"accelwattch"
 	"accelwattch/internal/cli"
+	"accelwattch/internal/config"
 	"accelwattch/internal/obs"
 )
 
@@ -114,16 +115,9 @@ func main() {
 	traceOut, ledgerOut := cli.Artifacts()
 	flag.Parse()
 
-	var arch *accelwattch.Arch
-	switch *archName {
-	case "volta":
-		arch = accelwattch.Volta()
-	case "pascal":
-		arch = accelwattch.Pascal()
-	case "turing":
-		arch = accelwattch.Turing()
-	default:
-		fmt.Fprintf(os.Stderr, "awexport: unknown architecture %q\n", *archName)
+	arch, err := config.ByName(*archName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "awexport: %v\n", err)
 		os.Exit(1)
 	}
 	sc := accelwattch.Quick

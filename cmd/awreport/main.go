@@ -6,6 +6,11 @@
 //	awvalidate -ledger-out ledger.jsonl && awreport -ledger ledger.jsonl
 //	awreport                # tune + validate a live Volta session
 //
+// A ledger gets one table per variant and model: the events of a case
+// study's retargeted model or the GPUWattch baseline carry the model in
+// their detail, and awserve's carry the serving model's name, so their
+// rows never mix with the session's own.
+//
 // Columns default to the coarse Figure 8/9 groups of the paper;
 // -components switches to all 25 raw model components. Every row's
 // components sum bit-identically to its estimated total — the attribution
@@ -39,15 +44,28 @@ import (
 	"accelwattch"
 	"accelwattch/internal/attr"
 	"accelwattch/internal/cli"
+	"accelwattch/internal/config"
 	"accelwattch/internal/core"
 	"accelwattch/internal/eval"
 	"accelwattch/internal/obs"
 	"accelwattch/internal/workloads"
 )
 
-// row is one kernel's attribution line, variant-scoped. Category is set
-// only for inference-pack rows (ledger events and by-category live runs
-// carry the tag; classic Table 4 rows leave it empty).
+// table identifies one attribution table: a variant and the model whose
+// estimates it holds. model is the breakdown event's detail: empty for the
+// session's own tuned model.
+type table struct{ variant, model string }
+
+func (t table) String() string {
+	if t.model == "" {
+		return t.variant
+	}
+	return t.variant + " (" + t.model + ")"
+}
+
+// row is one kernel's attribution line in a table. Category is set only
+// for inference-pack rows (ledger events and by-category live runs carry
+// the tag; classic Table 4 rows leave it empty).
 type row struct {
 	Kernel    string
 	Category  string
@@ -84,39 +102,48 @@ func main() {
 		return
 	}
 
-	var byVariant map[string][]row
+	var byTable map[table][]row
 	var err error
 	if *ledgerPath != "" {
-		byVariant, err = fromLedger(*ledgerPath)
+		byTable, err = fromLedger(*ledgerPath)
 		if err != nil {
 			log.Fatal(err)
 		}
 	} else {
-		byVariant, err = fromLiveRun(*archName, *full, *workers, *byCategory, *traceOut, *ledgerOut)
+		byTable, err = fromLiveRun(*archName, *full, *workers, *byCategory, *traceOut, *ledgerOut)
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	variants := make([]string, 0, len(byVariant))
-	for v := range byVariant {
-		if *variant != "" && v != *variant {
+	tables := make([]table, 0, len(byTable))
+	for t := range byTable {
+		if *variant != "" && t.variant != *variant {
 			continue
 		}
-		variants = append(variants, v)
+		tables = append(tables, t)
 	}
-	if len(variants) == 0 {
+	if len(tables) == 0 {
 		log.Fatalf("no breakdown records%s", matchHint(*variant))
 	}
-	sort.Strings(variants)
-	for _, v := range variants {
+	sort.Slice(tables, func(i, j int) bool {
+		if tables[i].variant != tables[j].variant {
+			return tables[i].variant < tables[j].variant
+		}
+		return tables[i].model < tables[j].model
+	})
+	printed := 0
+	for _, t := range tables {
 		if *byCategory {
-			if err := printCategoryTable(v, byVariant[v]); err != nil {
-				log.Fatal(err)
+			if printCategoryTable(t.String(), byTable[t]) {
+				printed++
 			}
 			continue
 		}
-		printTable(v, byVariant[v], *components)
+		printTable(t.String(), byTable[t], *components)
+	}
+	if *byCategory && printed == 0 {
+		log.Fatal("no category-tagged rows (ledger written before the inference pack, or a Table 4 run?)")
 	}
 }
 
@@ -127,15 +154,16 @@ func matchHint(variant string) string {
 	return fmt.Sprintf(" for variant %q", variant)
 }
 
-// fromLedger reconstructs attribution rows from KindBreakdown events,
-// re-verifying that each event's components sum to its reported power
-// (tolerating only float-printing rounding from the JSON round trip).
-func fromLedger(path string) (map[string][]row, error) {
+// fromLedger reconstructs attribution rows from KindBreakdown events, one
+// table per (variant, detail), re-verifying that each event's components
+// sum to its reported power (tolerating only float-printing rounding from
+// the JSON round trip).
+func fromLedger(path string) (map[table][]row, error) {
 	events, err := obs.ReadLedgerFile(path)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string][]row)
+	out := make(map[table][]row)
 	for i, ev := range events {
 		if ev.Kind != obs.KindBreakdown {
 			continue
@@ -148,7 +176,8 @@ func fromLedger(path string) (map[string][]row, error) {
 			return nil, fmt.Errorf("%s: event %d (%s): components sum to %g W but the event reports %g W — corrupted ledger",
 				path, i, ev.Workload, sum, ev.PowerW)
 		}
-		out[ev.Variant] = append(out[ev.Variant], row{
+		t := table{ev.Variant, ev.Detail}
+		out[t] = append(out[t], row{
 			Kernel: ev.Workload, Category: ev.Category, MeasuredW: ev.MeasuredW, TotalW: ev.PowerW, Breakdown: bd,
 		})
 	}
@@ -166,17 +195,10 @@ func closeEnough(a, b float64) bool {
 // results — attribution straight from the model, no ledger needed. With
 // byCategory the run validates the category-tagged AI-inference pack
 // instead of the classic Table 4 suite.
-func fromLiveRun(archName string, full bool, workers int, byCategory bool, traceOut, ledgerOut string) (map[string][]row, error) {
-	var arch *accelwattch.Arch
-	switch archName {
-	case "volta":
-		arch = accelwattch.Volta()
-	case "pascal":
-		arch = accelwattch.Pascal()
-	case "turing":
-		arch = accelwattch.Turing()
-	default:
-		return nil, fmt.Errorf("unknown architecture %q", archName)
+func fromLiveRun(archName string, full bool, workers int, byCategory bool, traceOut, ledgerOut string) (map[table][]row, error) {
+	arch, err := config.ByName(archName)
+	if err != nil {
+		return nil, err
 	}
 	sc := accelwattch.Quick
 	if full {
@@ -188,15 +210,16 @@ func fromLiveRun(archName string, full bool, workers int, byCategory bool, trace
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string][]row)
+	out := make(map[table][]row)
 	if byCategory {
 		all, err := sess.ValidateAllByCategory()
 		if err != nil {
 			return nil, err
 		}
 		for v, res := range all {
+			t := table{variant: v.String()}
 			for _, k := range res.Kernels {
-				out[v.String()] = append(out[v.String()], row{
+				out[t] = append(out[t], row{
 					Kernel: k.Name, Category: string(k.Category), MeasuredW: k.MeasuredW, TotalW: k.EstimatedW, Breakdown: k.Breakdown,
 				})
 			}
@@ -207,8 +230,9 @@ func fromLiveRun(archName string, full bool, workers int, byCategory bool, trace
 			return nil, err
 		}
 		for v, res := range all {
+			t := table{variant: v.String()}
 			for _, k := range res.Kernels {
-				out[v.String()] = append(out[v.String()], row{
+				out[t] = append(out[t], row{
 					Kernel: k.Name, MeasuredW: k.MeasuredW, TotalW: k.EstimatedW, Breakdown: k.Breakdown,
 				})
 			}
@@ -298,13 +322,13 @@ func printChargeback(out io.Writer, rows []chargeRow) {
 	fmt.Fprintln(out)
 }
 
-// printCategoryTable folds one variant's attribution rows by their
+// printCategoryTable folds one table's attribution rows by their
 // inference-pack category tag: kernel count, mean measured and estimated
 // watts, MAPE, and the category's mean idle-domain share (the parked rows
-// are all idle by construction). Rows without a category tag mean the
-// source was a classic Table 4 run, which is an error — the caller asked
-// for a by-category report the data cannot support.
-func printCategoryTable(variant string, rows []row) error {
+// are all idle by construction). Rows without a category tag come from a
+// classic Table 4 run and are left out; a table without tagged rows prints
+// nothing and reports false.
+func printCategoryTable(title string, rows []row) bool {
 	type agg struct {
 		n           int
 		measW, estW float64
@@ -347,9 +371,9 @@ func printCategoryTable(variant string, rows []row) error {
 		a.totW += s.TotalW()
 	}
 	if tagged == 0 {
-		return fmt.Errorf("variant %s: no category-tagged rows (ledger written before the inference pack, or a Table 4 run?)", variant)
+		return false
 	}
-	fmt.Printf("== %s: per-category power attribution (%d kernels) ==\n", variant, tagged)
+	fmt.Printf("== %s: per-category power attribution (%d kernels) ==\n", title, tagged)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(w, "category\tkernels\tmeas W\test W\tMAPE\tidle share\t")
 	for _, cat := range order {
@@ -367,12 +391,12 @@ func printCategoryTable(variant string, rows []row) error {
 	}
 	w.Flush()
 	fmt.Println()
-	return nil
+	return true
 }
 
-func printTable(variant string, rows []row, perComponent bool) {
+func printTable(title string, rows []row, perComponent bool) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Kernel < rows[j].Kernel })
-	fmt.Printf("== %s: per-kernel power attribution (W) ==\n", variant)
+	fmt.Printf("== %s: per-kernel power attribution (W) ==\n", title)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
 
 	var cols []string

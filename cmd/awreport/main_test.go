@@ -61,12 +61,13 @@ func TestFromLedger(t *testing.T) {
 		t.Fatalf("fromLedger: %v", err)
 	}
 	if len(got) != 2 {
-		t.Fatalf("got %d variants, want 2 (SASS_SIM, HW)", len(got))
+		t.Fatalf("got %d tables, want 2 (SASS_SIM, HW)", len(got))
 	}
-	if len(got["SASS_SIM"]) != 2 || len(got["HW"]) != 1 {
-		t.Fatalf("row counts: SASS_SIM=%d HW=%d", len(got["SASS_SIM"]), len(got["HW"]))
+	sass, hw := got[table{variant: "SASS_SIM"}], got[table{variant: "HW"}]
+	if len(sass) != 2 || len(hw) != 1 {
+		t.Fatalf("row counts: SASS_SIM=%d HW=%d", len(sass), len(hw))
 	}
-	r := got["SASS_SIM"][0]
+	r := sass[0]
 	if r.Kernel != "gemm" || r.MeasuredW != 120 {
 		t.Fatalf("first row = %+v", r)
 	}
@@ -84,6 +85,34 @@ func TestFromLedger(t *testing.T) {
 	}
 	if total != 3 {
 		t.Fatalf("ingested %d rows, want 3", total)
+	}
+}
+
+// A default awvalidate run also validates the case studies' retargeted
+// models and the GPUWattch baseline, under the same stage and variants as
+// the session's own model. Their events carry the model in their detail,
+// and each model's rows must land in a table of their own.
+func TestFromLedgerSplitsModels(t *testing.T) {
+	own, pascal := testBreakdown(1), testBreakdown(2)
+	other := breakdownEvent("gemm", "SASS_SIM", pascal, 150)
+	other.Detail = "pascal-titanx"
+	path := writeLedger(t, breakdownEvent("gemm", "SASS_SIM", own, 120), other)
+	got, err := fromLedger(path)
+	if err != nil {
+		t.Fatalf("fromLedger: %v", err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("got %d tables, want one per model", len(got))
+	}
+	totals := map[float64]bool{}
+	for tab, rows := range got {
+		if len(rows) != 1 {
+			t.Fatalf("table %v holds %d gemm rows, want 1", tab, len(rows))
+		}
+		totals[rows[0].TotalW] = true
+	}
+	if !totals[own.Total()] || !totals[pascal.Total()] {
+		t.Fatalf("tables hold totals %v, want %v and %v", totals, own.Total(), pascal.Total())
 	}
 }
 
@@ -220,7 +249,7 @@ func TestLedgerRowsMatchModelEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fromLedger rejected a genuine model breakdown: %v", err)
 	}
-	if got["HW"][0].TotalW != bd.Total() {
+	if got[table{variant: "HW"}][0].TotalW != bd.Total() {
 		t.Fatal("total did not survive the ledger round trip")
 	}
 }

@@ -144,7 +144,7 @@ func buildSet(manifestPath, modelPath, archName string, full bool, workers int,
 			warn("model %s records tuned variant %s but -model serves it for every variant — estimates under other variants are unvalidated (use a -models manifest to restrict)",
 				modelPath, m.TunedVariant)
 		}
-		e, err := zoo.Uniform("saved", m, "file:"+modelPath)
+		e, err := zoo.FromModel("saved", m, "file:"+modelPath, true)
 		if err != nil {
 			return nil, err
 		}

@@ -15,6 +15,7 @@ import (
 
 	"accelwattch"
 	"accelwattch/internal/cli"
+	"accelwattch/internal/config"
 	"accelwattch/internal/core"
 	"accelwattch/internal/obs"
 	"accelwattch/internal/tune"
@@ -36,16 +37,9 @@ func main() {
 	traceOut, ledgerOut := cli.Artifacts()
 	flag.Parse()
 
-	var arch *accelwattch.Arch
-	switch *archName {
-	case "volta":
-		arch = accelwattch.Volta()
-	case "pascal":
-		arch = accelwattch.Pascal()
-	case "turing":
-		arch = accelwattch.Turing()
-	default:
-		log.Fatalf("unknown architecture %q", *archName)
+	arch, err := config.ByName(*archName)
+	if err != nil {
+		log.Fatal(err)
 	}
 	sc := accelwattch.Quick
 	if *full {

@@ -47,11 +47,10 @@ type Config struct {
 	// (see TenantFeed).
 	Chaos *faults.Profile
 
-	// TenantName names tenant i (default "tenant-%04d"). LifetimeTicks,
-	// when non-nil, returns the tick count after which tenant i retires
-	// (0 = immortal): its final window settles, its metric labels are
-	// garbage-collected, and it stops being sampled.
-	TenantName    func(i int) string
+	// LifetimeTicks, when non-nil, returns the tick count after which
+	// tenant i ("tenant-%04d") retires (0 = immortal): its final window
+	// settles, its metric labels are garbage-collected, and it stops being
+	// sampled.
 	LifetimeTicks func(i int) int64
 }
 
@@ -155,9 +154,6 @@ func New(cfg Config) (*Collector, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Default()
 	}
-	if cfg.TenantName == nil {
-		cfg.TenantName = func(i int) string { return fmt.Sprintf("tenant-%04d", i) }
-	}
 	var chaos faults.Profile
 	if cfg.Chaos != nil {
 		if err := cfg.Chaos.Validate(); err != nil {
@@ -193,7 +189,7 @@ func New(cfg Config) (*Collector, error) {
 	c.handles = make([]*Handle, cfg.Tenants)
 	for i := 0; i < cfg.Tenants; i++ {
 		c.feeds[i] = NewTenantFeed(profiles, i, cfg.Seed, chaos)
-		c.names[i] = cfg.TenantName(i)
+		c.names[i] = fmt.Sprintf("tenant-%04d", i)
 		c.handles[i] = c.meter.Handle(c.names[i])
 	}
 	if cfg.LifetimeTicks != nil {

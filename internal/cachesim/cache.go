@@ -58,14 +58,6 @@ type Stats struct {
 	Writebacks   uint64
 }
 
-// MissRate returns misses per access (0 when idle).
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is one set-associative cache instance. It is not safe for
 // concurrent use; each timing model owns its caches.
 type Cache struct {

@@ -123,17 +123,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Error("empty stats should have zero miss rate")
-	}
-	s = Stats{Accesses: 10, Misses: 3}
-	if s.MissRate() != 0.3 {
-		t.Errorf("miss rate %v", s.MissRate())
-	}
-}
-
 // Property: a working set that fits in the cache has no misses after the
 // first pass, regardless of access order.
 func TestQuickResidentWorkingSet(t *testing.T) {

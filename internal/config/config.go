@@ -110,11 +110,6 @@ func (a *Arch) Voltage(clockMHz float64) float64 {
 // BaseVoltage is the voltage at the default applications clock.
 func (a *Arch) BaseVoltage() float64 { return a.Voltage(a.BaseClockMHz) }
 
-// TotalLanes returns the number of 32-bit execution lanes on the chip.
-func (a *Arch) TotalLanes() int {
-	return a.NumSMs * a.ProcBlocksPerSM * a.LanesPerBlock * 2
-}
-
 // Volta returns the configuration of the NVIDIA Quadro GV100 used for
 // validation (Table 3): 80 SMs, 12 nm, 1417 MHz application clock, 250 W.
 func Volta() *Arch {

@@ -117,9 +117,3 @@ func TestTechScale(t *testing.T) {
 		t.Error("unknown node accepted")
 	}
 }
-
-func TestTotalLanes(t *testing.T) {
-	if got := Volta().TotalLanes(); got != 80*4*16*2 {
-		t.Errorf("Volta lanes = %d", got)
-	}
-}

@@ -48,8 +48,7 @@ func TestTechScaleIdentity(t *testing.T) {
 }
 
 // Scaling there and back must compose to 1 within one ULP for every node
-// pair — the multiplicative form of the round-trip guarantee the model
-// layer turns into bit-exactness via division (core.Model.Underive).
+// pair.
 func TestTechScaleRoundTrips(t *testing.T) {
 	nodes := Nodes()
 	for _, from := range nodes {
@@ -76,10 +75,10 @@ func TestTechScaleRoundTrips(t *testing.T) {
 // rounded forward multiplication: (x*c)/c recovers x to within one ULP for
 // every node pair and representative coefficient (two correct roundings of
 // at most half an ULP each), where composing with the reverse table factor
-// can drift by several ULPs. This is why core.Model.Underive divides by the
-// recorded factors rather than multiplying by a reverse scaling — and why
-// its guarantee is a one-ULP bound plus golden-pinned round-trip bytes, not
-// universal bit-equality (even (0.9*1.18)/1.18 lands one ULP high).
+// can drift by several ULPs. So undoing a derivation means dividing by the
+// recorded factors rather than multiplying by a reverse scaling, and even
+// then the guarantee is a one-ULP bound, not universal bit-equality (even
+// (0.9*1.18)/1.18 lands one ULP high).
 func TestTechScaleDivisionInvertsMultiplication(t *testing.T) {
 	values := []float64{0.1, 0.7, 0.9, 1.18, 7.77, 11.3, 19.9, 30, 32.5, 0.333333, 1e-3, 250}
 	nodes := Nodes()

@@ -418,48 +418,6 @@ func (m *Model) Derive(arch *config.Arch, constMult float64) (*Model, Derivation
 	return &out, d, nil
 }
 
-// Underive inverts a derivation on a derived model: it divides by the
-// exact factors Derive multiplied by, which is the closest arithmetic
-// inverse of the rounded multiplication — every coefficient is restored to
-// within one ULP (bit-exactly for identity factors), where composing with
-// a reverse table scaling can drift by several ULPs. The round trip is
-// deterministic, so its output is pinnable as golden bytes. The derived
-// model's architecture must match the derivation's target.
-func (m *Model) Underive(base *config.Arch, d Derivation) (*Model, error) {
-	if m.Arch == nil || m.Arch.Name != d.ToArch {
-		return nil, fmt.Errorf("core: underive: model is for %q, derivation targeted %q",
-			archName(m.Arch), d.ToArch)
-	}
-	if base == nil || base.Name != d.FromArch {
-		return nil, fmt.Errorf("core: underive: base architecture %q does not match derivation source %q",
-			archName(base), d.FromArch)
-	}
-	if !(d.ConstMult > 0) || !(d.Tech.Dynamic > 0) || !(d.Tech.Static > 0) {
-		return nil, fmt.Errorf("core: underive: derivation factors are not positive")
-	}
-	out := *m
-	out.Arch = base
-	out.ConstW = m.ConstW / d.ConstMult
-	if !d.Tech.Identity() {
-		for i := range out.BaseEnergyPJ {
-			out.BaseEnergyPJ[i] /= d.Tech.Dynamic
-		}
-		out.IdleSMW /= d.Tech.Static
-		for i := range out.Div {
-			out.Div[i].FirstLaneW /= d.Tech.Static
-			out.Div[i].AddLaneW /= d.Tech.Static
-		}
-	}
-	return &out, nil
-}
-
-func archName(a *config.Arch) string {
-	if a == nil {
-		return "<nil>"
-	}
-	return a.Name
-}
-
 // Retarget is Derive without the provenance record, kept for the case-study
 // evaluation path (Figures 10-12) that only needs the transformed model.
 func (m *Model) Retarget(arch *config.Arch, constMult float64) (*Model, error) {

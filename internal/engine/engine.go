@@ -173,19 +173,3 @@ func Map[R, T, V any](ctx context.Context, p *Pool[R], items []T, fn func(ctx co
 	}
 	return out, nil
 }
-
-// MapN is Map for replica-less fan-out over `workers` interchangeable
-// empty slots (values < 1 mean 1): fn receives only the item index. Results
-// are in index order with the same error semantics as Map.
-func MapN[V any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (V, error)) ([]V, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return Map(ctx, PoolOf(make([]struct{}, workers)...), idx, func(ctx context.Context, _ struct{}, i int) (V, error) {
-		return fn(ctx, i)
-	})
-}

@@ -141,20 +141,6 @@ func TestMapDistributesAcrossReplicas(t *testing.T) {
 	}
 }
 
-func TestMapNOrdersResults(t *testing.T) {
-	out, err := MapN(context.Background(), 8, 50, func(_ context.Context, i int) (int, error) {
-		return i * 3, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*3 {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*3)
-		}
-	}
-}
-
 func TestNewPoolReplicateError(t *testing.T) {
 	boom := errors.New("no replica")
 	if _, err := NewPool(0, 3, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {

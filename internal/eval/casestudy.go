@@ -30,17 +30,18 @@ func constMultFor(arch *config.Arch) float64 {
 	return 1.0
 }
 
-// CaseStudyContext retargets the tuned Volta models to a new architecture
-// and validates against that architecture's silicon: technology scaling is
+// CaseStudy retargets the tuned Volta models to a new architecture and
+// validates against that architecture's silicon: technology scaling is
 // applied when nodes differ (Pascal, 16 nm), constant power is adjusted for
-// Turing, and traces are re-extracted on the target GPU (Section 7.1). ctx
-// cancels the run; results are identical at every worker count.
-func CaseStudyContext(ctx context.Context, tuned *tune.Result, target *config.Arch, sc ubench.Scale, workers int) (*CaseStudyResult, error) {
+// Turing, and traces are re-extracted on the target GPU (Section 7.1).
+// Results are identical at every worker count. Breakdown events carry the
+// target's name as their detail.
+func CaseStudy(tuned *tune.Result, target *config.Arch, sc ubench.Scale, workers int) (*CaseStudyResult, error) {
 	tb, err := tune.NewTestbench(target, sc)
 	if err != nil {
 		return nil, err
 	}
-	ex, err := tune.NewExec(ctx, tb, workers)
+	ex, err := tune.NewExec(context.Background(), tb, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -55,14 +56,14 @@ func CaseStudyContext(ctx context.Context, tuned *tune.Result, target *config.Ar
 		return nil, fmt.Errorf("eval: retarget SASS model: %w", err)
 	}
 	out.Model = sassModel
-	if out.SASS, err = ValidateExec(ex, sassModel, tune.SASSSIM, suite); err != nil {
+	if out.SASS, err = validate(ex, sassModel, target.Name, tune.SASSSIM, suite); err != nil {
 		return nil, err
 	}
 	ptxModel, err := tuned.Model(tune.PTXSIM).Retarget(target, constMultFor(target))
 	if err != nil {
 		return nil, err
 	}
-	if out.PTX, err = ValidateExec(ex, ptxModel, tune.PTXSIM, suite); err != nil {
+	if out.PTX, err = validate(ex, ptxModel, target.Name, tune.PTXSIM, suite); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -147,11 +148,12 @@ type GPUWattchComparison struct {
 	DRAMShare         float64
 }
 
-// CompareGPUWattch validates the legacy model on the Volta suite.
+// CompareGPUWattch validates the legacy model on the Volta suite. Its
+// breakdown events carry "gpuwattch" as their detail.
 func CompareGPUWattch(tb *tune.Testbench, legacy *core.Model, suite []workloads.Kernel) (*GPUWattchComparison, error) {
 	out := &GPUWattchComparison{ConstPlusStaticW: legacy.ConstW}
 	for _, v := range []tune.Variant{tune.SASSSIM, tune.PTXSIM} {
-		r, err := ValidateExec(tb.Sequential(), legacy, v, suite)
+		r, err := validate(tb.Sequential(), legacy, "gpuwattch", v, suite)
 		if err != nil {
 			return nil, err
 		}

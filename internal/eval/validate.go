@@ -107,6 +107,15 @@ func inSuite(k *workloads.Kernel, v tune.Variant) bool {
 // engine's pool first; the comparison then reads those samples in suite
 // order, so the result is identical at every worker count.
 func ValidateExec(ex *tune.Exec, model *core.Model, v tune.Variant, suite []workloads.Kernel) (*ValidationResult, error) {
+	return validate(ex, model, "", v, suite)
+}
+
+// validate is ValidateExec for a labelled model. A label names a model
+// other than the session's own tuned one (a case study's target
+// architecture, or "gpuwattch") and goes into the detail of every
+// breakdown event, so a ledger keeps each model's rows apart. The session's
+// own model has no label.
+func validate(ex *tune.Exec, model *core.Model, label string, v tune.Variant, suite []workloads.Kernel) (*ValidationResult, error) {
 	sp := ex.StageSpan("eval/validate").WithDetail(v.String())
 	defer sp.End()
 	var launched []tune.Workload
@@ -175,7 +184,7 @@ func ValidateExec(ex *tune.Exec, model *core.Model, v tune.Variant, suite []work
 			// ledger-less runs; EstimatedW is bd.Total(), so every
 			// breakdown event provably sums to its reported power.
 			led.Emit(obs.Event{Kind: obs.KindBreakdown, Stage: "eval/validate",
-				Workload: k.Name, Variant: v.String(), Category: string(k.Category),
+				Workload: k.Name, Variant: v.String(), Category: string(k.Category), Detail: label,
 				PowerW: kr.EstimatedW, MeasuredW: kr.MeasuredW, Breakdown: bd.Map()})
 		}
 		kernelsDone.Inc()

@@ -154,10 +154,15 @@ func TestChaosSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tb, err := tune.NewFaultyTestbench(config.Volta(), chaosScale, prof)
+			tb, err := tune.NewTestbench(config.Volta(), chaosScale)
 			if err != nil {
 				t.Fatal(err)
 			}
+			fm, err := faults.NewFaultyMeter(tb.Device, prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb.UseMeter(fm, tune.HardenedMeterPolicy())
 			res, err := tune.Tune(tb, tb.DefaultOptions())
 			if err != nil {
 				t.Fatalf("Tune under %q faults: %v", tc.name, err)
@@ -169,7 +174,6 @@ func TestChaosSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fm, _ := tb.Meter.(*faults.FaultyMeter)
 			t.Logf("%s: seed %#x, validation MAPE %.2f%% (clean %.2f%%), quarantined %d, stats %+v",
 				tc.name, seed, mape, mape0, len(res.Quarantined), fm.Stats())
 			if mape > tc.maxRatio*ref {

@@ -97,16 +97,3 @@ func LeastSquares(a [][]float64, b []float64) ([]float64, error) {
 	}
 	return SolveLinear(ata, atb)
 }
-
-// MatVec computes A x.
-func MatVec(a [][]float64, x []float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		s := 0.0
-		for j, v := range a[i] {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}

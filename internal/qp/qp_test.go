@@ -281,11 +281,3 @@ func ones(n int) []float64 {
 	}
 	return x
 }
-
-func TestMatVec(t *testing.T) {
-	a := [][]float64{{1, 2}, {3, 4}}
-	got := MatVec(a, []float64{10, 100})
-	if got[0] != 210 || got[1] != 430 {
-		t.Errorf("MatVec = %v", got)
-	}
-}

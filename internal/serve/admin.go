@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"accelwattch/internal/core"
-	"accelwattch/internal/tune"
 	"accelwattch/internal/zoo"
 )
 
@@ -211,26 +210,14 @@ func (s *Server) buildAdminEntry(name string, body []byte) (*zoo.Entry, error) {
 	}
 }
 
-// adminModelEntry builds an entry from raw saved-model JSON, applying the
-// tuned-variant guard: a model tagged with the variant it was tuned under
-// serves only that variant, unless allVariants overrides.
+// adminModelEntry builds an entry from raw saved-model JSON under the
+// tuned-variant guard (zoo.FromModel).
 func adminModelEntry(name string, raw []byte, allVariants bool) (*zoo.Entry, error) {
 	m := &core.Model{}
 	if err := m.UnmarshalJSON(raw); err != nil {
 		return nil, statusErrorf(400, "%v", err)
 	}
-	if m.TunedVariant != "" && !allVariants {
-		v, err := ParseVariant(m.TunedVariant)
-		if err != nil {
-			return nil, statusErrorf(400, "serve: model records unknown tuned variant %q", m.TunedVariant)
-		}
-		e, err := zoo.PerVariant(name, map[tune.Variant]*core.Model{v: m}, "admin")
-		if err != nil {
-			return nil, statusErrorf(400, "%v", err)
-		}
-		return e, nil
-	}
-	e, err := zoo.Uniform(name, m, "admin")
+	e, err := zoo.FromModel(name, m, "admin", allVariants)
 	if err != nil {
 		return nil, statusErrorf(400, "%v", err)
 	}

@@ -399,7 +399,12 @@ func TestAdminPutRawModelAndGuard(t *testing.T) {
 }
 
 func TestAdminRegistryCap(t *testing.T) {
-	_, ts := newZooServer(t, Config{MaxModels: 3})
+	s, ts := newZooServer(t, Config{})
+	for i := len(s.Summaries()); i < maxModels; i++ {
+		if code, resp := putJSON(t, ts, fmt.Sprintf("/models/fill-%02d", i), []byte(`{"derive":{"from":"volta-base","arch":"pascal"}}`)); code != http.StatusOK {
+			t.Fatalf("PUT of entry %d below the cap answered %d: %s", i+1, code, resp)
+		}
+	}
 	code, resp := putJSON(t, ts, "/models/one-too-many", []byte(`{"derive":{"from":"volta-base","arch":"pascal"}}`))
 	if code != 409 || !strings.Contains(string(resp), "full") {
 		t.Fatalf("over-cap PUT answered %d: %s", code, resp)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"accelwattch/internal/obs"
+	"accelwattch/internal/tune"
 )
 
 // maxBodyBytes bounds request bodies; anything larger answers 413 before
@@ -143,9 +144,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeStatusErr(w, err)
 		return
 	}
-	v, err := ParseVariant(req.Variant)
+	v, ok := tune.ParseVariant(req.Variant)
 	m := u.entry.Model(v)
-	if err != nil || m == nil {
+	if !ok || m == nil {
 		httpError(w, http.StatusBadRequest, "variant "+req.Variant+" not served")
 		return
 	}
@@ -185,9 +186,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeStatusErr(w, err)
 		return
 	}
-	v, err := ParseVariant(req.Variant)
+	v, ok := tune.ParseVariant(req.Variant)
 	m := u.entry.Model(v)
-	if err != nil || m == nil {
+	if !ok || m == nil {
 		httpError(w, http.StatusBadRequest, "variant "+req.Variant+" not served")
 		return
 	}

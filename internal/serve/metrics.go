@@ -9,7 +9,7 @@ import (
 // "serve". Label cardinality is bounded by construction: route is one of
 // the fixed handler names, code one of the handful of statuses the service
 // emits, cache/reject reasons are closed vocabularies, and model is an
-// entry name from the registry, which Config.MaxModels caps and Retire
+// entry name from the registry, which maxModels caps and Retire
 // garbage-collects (retiring a model deletes its series). Request bodies
 // and kernel names never become labels — per-kernel context goes to the
 // ledger.

@@ -94,17 +94,6 @@ type SweepResponse struct {
 // step over a wide range cannot turn one request into unbounded work.
 const maxSweepPoints = 512
 
-// ParseVariant resolves a variant's wire name ("SASS_SIM", "PTX_SIM",
-// "HW", "HYBRID").
-func ParseVariant(name string) (tune.Variant, error) {
-	for _, v := range tune.Variants() {
-		if v.String() == name {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("serve: unknown variant %q", name)
-}
-
 // parseMix resolves a mix category's wire name; the empty string selects
 // LIGHT (no compute census supplied).
 func parseMix(name string) (core.MixCategory, error) {
@@ -153,8 +142,8 @@ func DecodeSweepRequest(data []byte) (*SweepRequest, error) {
 }
 
 func (r *EstimateRequest) validate() error {
-	if _, err := ParseVariant(r.Variant); err != nil {
-		return err
+	if _, ok := tune.ParseVariant(r.Variant); !ok {
+		return fmt.Errorf("serve: unknown variant %q", r.Variant)
 	}
 	a, err := r.Activity()
 	if err != nil {

@@ -26,10 +26,6 @@ type Config struct {
 	// serving unit with its own cache shard and metrics labels.
 	Zoo *zoo.Set
 
-	// MaxModels caps the registry so the bounded `model` metric label and
-	// the admin surface cannot grow without limit. Default 64.
-	MaxModels int
-
 	// Workers is how many estimate computations run at once; values < 1
 	// mean 1. Responses are bit-identical at every setting.
 	Workers int
@@ -57,11 +53,14 @@ type Config struct {
 const (
 	DefaultQueueSize = 256
 	DefaultDeadline  = 5 * time.Second
-	DefaultMaxModels = 64
 
 	// Deprecated: DefaultMaxBatch is the value of the ignored
 	// Config.MaxBatch.
 	DefaultMaxBatch = 32
+
+	// maxModels caps the registry so the bounded `model` metric label and
+	// the admin surface cannot grow without limit.
+	maxModels = 64
 
 	// maxRetiredTombstones bounds how many retired entries /healthz and
 	// /readyz keep reporting; beyond it the oldest tombstones are dropped.
@@ -151,7 +150,6 @@ type Server struct {
 	workers   int
 	deadline  time.Duration
 	cacheSize int
-	maxModels int
 
 	// umu guards the unit registry: the name->unit map, registration
 	// order, per-entry states (including retired tombstones), and the
@@ -199,16 +197,12 @@ func New(cfg Config) (*Server, error) {
 		workers:     max(cfg.Workers, 1),
 		deadline:    cfg.Deadline,
 		cacheSize:   cfg.CacheSize,
-		maxModels:   cfg.MaxModels,
 		units:       make(map[string]*unit, len(set.Entries)),
 		states:      make(map[string]string, len(set.Entries)),
 		defaultName: set.Default,
 	}
-	if s.maxModels < 1 {
-		s.maxModels = DefaultMaxModels
-	}
-	if len(set.Entries) > s.maxModels {
-		return nil, fmt.Errorf("serve: %d models configured, cap is %d", len(set.Entries), s.maxModels)
+	if len(set.Entries) > maxModels {
+		return nil, fmt.Errorf("serve: %d models configured, cap is %d", len(set.Entries), maxModels)
 	}
 	for _, e := range set.Entries {
 		s.units[e.Name] = newUnit(e, s.cacheSize)
@@ -335,9 +329,9 @@ func (s *Server) AddEntry(e *zoo.Entry) error {
 	}
 	s.umu.Lock()
 	_, replacing := s.units[e.Name]
-	if !replacing && len(s.units) >= s.maxModels {
+	if !replacing && len(s.units) >= maxModels {
 		s.umu.Unlock()
-		return statusErrorf(409, "serve: model registry is full (%d entries); retire one first", s.maxModels)
+		return statusErrorf(409, "serve: model registry is full (%d entries); retire one first", maxModels)
 	}
 	s.states[e.Name] = StateDeriving
 	// List the name immediately so /healthz and /readyz report the install

@@ -160,15 +160,3 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// RelErr returns (estimated-measured)/measured. A zero measurement has no
-// defined relative error; NaN is returned (never ±Inf) so a degenerate
-// sample is detectable with AllFinite instead of poisoning comparisons —
-// every ordered comparison against NaN is false, while ±Inf compares
-// "larger than everything" and silently wins max-style aggregations.
-func RelErr(measured, estimated float64) float64 {
-	if measured == 0 {
-		return math.NaN()
-	}
-	return (estimated - measured) / measured
-}

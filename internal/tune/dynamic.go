@@ -171,8 +171,9 @@ func startVector(sp StartPoint, base [core.NumDynComponents]float64) []float64 {
 // TuneDynamic solves Eq. (14) for one variant over the microbenchmarks'
 // samples under that variant and returns the fits from both starting
 // points, ranked (Section 5.4 adopts the Fermi-start model when it wins,
-// which the paper observed on Volta).
-func (tb *Testbench) TuneDynamic(samples []Sample, v Variant, m *core.Model, opts qp.Options) (best, other *DynamicFit, err error) {
+// which the paper observed on Volta). The solver runs with
+// qp.DefaultOptions.
+func (tb *Testbench) TuneDynamic(samples []Sample, v Variant, m *core.Model) (best, other *DynamicFit, err error) {
 	prob, acts, meas, err := tb.buildProblem(samples, v, m)
 	if err != nil {
 		return nil, nil, err
@@ -180,7 +181,7 @@ func (tb *Testbench) TuneDynamic(samples []Sample, v Variant, m *core.Model, opt
 	fits := make([]*DynamicFit, 0, 2)
 	for _, sp := range []StartPoint{StartFermi, StartOnes} {
 		x0 := startVector(sp, m.BaseEnergyPJ)
-		res, err := qp.Solve(prob, x0, opts)
+		res, err := qp.Solve(prob, x0, qp.DefaultOptions())
 		fit := &DynamicFit{Variant: v, Start: sp}
 		if err != nil {
 			// Solver failure (a poisoned problem that slipped past the

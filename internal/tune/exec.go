@@ -37,10 +37,7 @@ func NewExec(ctx context.Context, tb *Testbench, workers int) (*Exec, error) {
 	}
 	next := 0
 	pool, err := engine.NewPool(tb, workers, func() (*Testbench, error) {
-		r, err := tb.Replicate()
-		if err != nil {
-			return nil, err
-		}
+		r := tb.Replicate()
 		next++
 		r.Worker = next
 		return r, nil
@@ -76,9 +73,6 @@ func (ex *Exec) StageSpan(name string) *obs.Span {
 
 // TB returns the primary testbench (the one the engine was built from).
 func (ex *Exec) TB() *Testbench { return ex.pool.Primary() }
-
-// Workers returns the pool size.
-func (ex *Exec) Workers() int { return ex.pool.Workers() }
 
 // Map fans fn over items across ex's replica pool. Results arrive in input
 // order and the reported error on failure is the lowest-index one — exactly

@@ -7,86 +7,75 @@ import (
 	"sort"
 	"time"
 
-	"accelwattch/internal/config"
 	"accelwattch/internal/faults"
 	"accelwattch/internal/obs"
 	"accelwattch/internal/qp"
 	"accelwattch/internal/silicon"
 	"accelwattch/internal/stats"
 	"accelwattch/internal/trace"
-	"accelwattch/internal/ubench"
 )
 
-// MeterPolicy governs how the testbench reads its power meter. The default
-// policy is a single read per operating point with a couple of retries — on
-// a clean meter it reproduces the historical pipeline bit for bit. The
-// hardened policy trades measurement time for robustness and is installed
-// automatically when a fault profile is active.
-type MeterPolicy struct {
-	// Repeats is the number of full measurements taken per operating
-	// point; the reported power is the median over the pooled samples.
-	// 1 preserves single-read semantics exactly.
-	Repeats int
+// MeterPolicy is how the testbench reads its power meter. There are two
+// policies. The clean one (the zero value, DefaultMeterPolicy) leaves every
+// measurement on a fault-free meter, and so every tuned coefficient,
+// bit-identical to the unhardened pipeline. The hardened one
+// (HardenedMeterPolicy) trades measurement time for robustness; a session
+// installs it when a fault profile is active.
+//
+//	                           clean   hardened
+//	reads per operating point      1          5   median of the pooled samples
+//	retries per read               2          4   1 ms backoff, doubling
+//	quarantine after               2          3   failed operating points
+//	MAD sample rejection          no      at 6σ
+//	Eq. (3) fits               plain     robust   Huber / trimmed
+//	failed temperature ladder  error    Coeff 0   and a quarantine report
+//
+// Quarantine is a report, not a filter: a quarantined workload's remaining
+// points are still measured, and each stage keeps using those that succeed.
+type MeterPolicy struct{ hardened bool }
 
-	// MaxRetries is how many additional attempts a transiently-failed
-	// read gets before the operating point is declared failed.
-	MaxRetries int
+// DefaultMeterPolicy is the clean-meter policy.
+func DefaultMeterPolicy() MeterPolicy { return MeterPolicy{} }
 
-	// RetryBackoff is the initial wait between retries; it doubles per
-	// attempt (real NVML timeouts cluster, so immediate retries lose).
-	RetryBackoff time.Duration
+// HardenedMeterPolicy is the policy for measuring through a faulty meter.
+func HardenedMeterPolicy() MeterPolicy { return MeterPolicy{hardened: true} }
 
-	// QuarantineAfter is the number of failed operating points after
-	// which a workload is quarantined: reported in Result.Quarantined as
-	// "N failed operating points". Quarantine is a report, not a filter —
-	// the workload's remaining points are still measured, and each stage
-	// keeps using those that succeed.
-	QuarantineAfter int
+// retryBackoff is the wait before a read's first retry. It doubles per
+// attempt: real NVML timeouts cluster, so immediate retries lose.
+const retryBackoff = time.Millisecond
 
-	// Robust selects the Huber/trimmed variants of the Eq. (3) fits and
-	// MAD-based rejection of outlier samples inside each measurement.
-	Robust bool
-
-	// OutlierK is the MAD multiple beyond which pooled samples are
-	// rejected when Robust aggregation runs (0 disables rejection).
-	OutlierK float64
+// repeats is the number of full measurements taken per operating point.
+func (p MeterPolicy) repeats() int {
+	if p.hardened {
+		return 5
+	}
+	return 1
 }
 
-// DefaultMeterPolicy is the clean-meter configuration: one read per point,
-// two retries, no robust machinery. With a fault-free meter it leaves every
-// measurement — and therefore every tuned coefficient — bit-identical to
-// the unhardened pipeline.
-func DefaultMeterPolicy() MeterPolicy {
-	return MeterPolicy{Repeats: 1, MaxRetries: 2, RetryBackoff: time.Millisecond, QuarantineAfter: 2}
+// maxRetries is how many more attempts a transiently failed read gets.
+func (p MeterPolicy) maxRetries() int {
+	if p.hardened {
+		return 4
+	}
+	return 2
 }
 
-// HardenedMeterPolicy is the configuration for measuring through a faulty
-// meter: median-of-5 reads, deeper retry budget, robust fits, and MAD
-// sample rejection.
-func HardenedMeterPolicy() MeterPolicy {
-	return MeterPolicy{
-		Repeats:         5,
-		MaxRetries:      4,
-		RetryBackoff:    time.Millisecond,
-		QuarantineAfter: 3,
-		Robust:          true,
-		OutlierK:        6,
+// quarantineAfter is the number of failed operating points after which a
+// workload is quarantined.
+func (p MeterPolicy) quarantineAfter() int {
+	if p.hardened {
+		return 3
 	}
+	return 2
 }
 
-// normalized clamps degenerate knob values so a zero policy behaves like
-// the default.
-func (p MeterPolicy) normalized() MeterPolicy {
-	if p.Repeats < 1 {
-		p.Repeats = 1
+// outlierK is the MAD multiple beyond which pooled samples are rejected
+// (0 rejects none).
+func (p MeterPolicy) outlierK() float64 {
+	if p.hardened {
+		return 6
 	}
-	if p.MaxRetries < 0 {
-		p.MaxRetries = 0
-	}
-	if p.QuarantineAfter < 1 {
-		p.QuarantineAfter = 1
-	}
-	return p
+	return 0
 }
 
 // ErrMeasurement marks an operating point that failed all retries. Callers
@@ -115,21 +104,6 @@ func (tb *Testbench) UseMeter(m faults.Meter, p MeterPolicy) {
 	tb.arts.quarantined = make(map[string]string)
 	tb.arts.failCount = make(map[string]int)
 	tb.arts.mu.Unlock()
-}
-
-// NewFaultyTestbench builds a testbench whose measurements flow through a
-// fault-injected meter, with the hardened meter policy installed.
-func NewFaultyTestbench(arch *config.Arch, sc ubench.Scale, prof faults.Profile) (*Testbench, error) {
-	tb, err := NewTestbench(arch, sc)
-	if err != nil {
-		return nil, err
-	}
-	fm, err := faults.NewFaultyMeter(tb.Device, prof)
-	if err != nil {
-		return nil, err
-	}
-	tb.UseMeter(fm, HardenedMeterPolicy())
-	return tb, nil
 }
 
 // Quarantined returns the quarantined workloads and stages, sorted, as
@@ -167,14 +141,15 @@ func (tb *Testbench) quarantine(name, reason, class string) {
 // noteFailure counts a failed operating point against a workload and
 // quarantines it once the budget is exhausted. The reason reports only the
 // count — each failed point is memoised by the artifact store, so the count
-// at quarantine is always exactly QuarantineAfter regardless of the order
-// replicas hit the points, keeping the reason string schedule-independent.
-func (tb *Testbench) noteFailure(name string, p MeterPolicy) {
+// at quarantine is always exactly the policy's quarantine budget regardless
+// of the order replicas hit the points, keeping the reason string
+// schedule-independent.
+func (tb *Testbench) noteFailure(name string) {
 	mMeterFailures.Inc()
 	a := tb.arts
 	a.mu.Lock()
 	a.failCount[name]++
-	quarantined := a.failCount[name] >= p.QuarantineAfter
+	quarantined := a.failCount[name] >= tb.Policy.quarantineAfter()
 	var dup bool
 	var reason string
 	if quarantined {
@@ -190,78 +165,69 @@ func (tb *Testbench) noteFailure(name string, p MeterPolicy) {
 	}
 }
 
-// runWithRetry performs one measurement attempt with transient-error
-// retries and exponential backoff, reporting how many meter reads it spent.
-// Non-transient errors (bad traces, clock out of range) surface immediately.
-func (tb *Testbench) runWithRetry(kt *trace.KernelTrace, p MeterPolicy) (m *silicon.Measurement, attempts int, err error) {
-	backoff := p.RetryBackoff
+// nonPhysical is a power reading that is NaN, infinite or not positive. It
+// is as useless as a failed read, so it is retried like a transient.
+type nonPhysical float64
+
+func (w nonPhysical) Error() string {
+	return fmt.Sprintf("non-physical power reading %g W", float64(w))
+}
+
+func (nonPhysical) Unwrap() error { return faults.ErrTransient }
+
+// withRetry makes up to maxRetries+1 attempts of one meter read, with
+// exponential backoff between them, and reports how many reads it spent.
+// Transient errors are retried; any other error (a bad trace, a clock out of
+// range) surfaces at once. Real profilers time out like power meters, so
+// counter reads take the same path.
+func withRetry[T any](p MeterPolicy, read func() (T, error)) (T, int, error) {
+	var zero T
+	backoff := retryBackoff
+	attempts := 0
 	var lastErr error
-	for attempt := 0; attempt <= p.MaxRetries; attempt++ {
-		if attempt > 0 {
+	for attempts <= p.maxRetries() {
+		if attempts > 0 {
 			mMeterRetries.Inc()
-			if backoff > 0 {
-				time.Sleep(backoff)
-				backoff *= 2
-			}
+			time.Sleep(backoff)
+			backoff *= 2
 		}
 		attempts++
+		v, err := read()
+		if err == nil {
+			mMeterReads.Inc()
+			return v, attempts, nil
+		}
+		if !faults.IsTransient(err) {
+			return zero, attempts, err
+		}
+		lastErr = err
+	}
+	return zero, attempts, fmt.Errorf("all %d attempts failed: %w", attempts, lastErr)
+}
+
+// run is one power read of kt with retries.
+func (tb *Testbench) run(kt *trace.KernelTrace) (*silicon.Measurement, int, error) {
+	return withRetry(tb.Policy, func() (*silicon.Measurement, error) {
 		m, err := tb.Meter.Run(kt)
-		if err == nil {
-			if math.IsNaN(m.AvgPowerW) || math.IsInf(m.AvgPowerW, 0) || m.AvgPowerW <= 0 {
-				// A non-physical reading is as useless as a failed
-				// one; retry it like a transient.
-				lastErr = fmt.Errorf("non-physical power reading %g W", m.AvgPowerW)
-				continue
-			}
-			mMeterReads.Inc()
-			return m, attempts, nil
+		if err == nil && (math.IsNaN(m.AvgPowerW) || math.IsInf(m.AvgPowerW, 0) || m.AvgPowerW <= 0) {
+			return nil, nonPhysical(m.AvgPowerW)
 		}
-		if !faults.IsTransient(err) {
-			return nil, attempts, err
-		}
-		lastErr = err
-	}
-	return nil, attempts, fmt.Errorf("all %d attempts failed: %w", p.MaxRetries+1, lastErr)
+		return m, err
+	})
 }
 
-// profileWithRetry reads hardware counters with the same transient-error
-// retry discipline as power measurements (real profilers time out too).
-func (tb *Testbench) profileWithRetry(kt *trace.KernelTrace, p MeterPolicy) (*silicon.Counters, error) {
-	backoff := p.RetryBackoff
-	var lastErr error
-	for attempt := 0; attempt <= p.MaxRetries; attempt++ {
-		if attempt > 0 {
-			mMeterRetries.Inc()
-			if backoff > 0 {
-				time.Sleep(backoff)
-				backoff *= 2
-			}
-		}
-		c, err := tb.Meter.Profile(kt)
-		if err == nil {
-			mMeterReads.Inc()
-			return c, nil
-		}
-		if !faults.IsTransient(err) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("all %d attempts failed: %w", p.MaxRetries+1, lastErr)
-}
-
-// measurePoint reads one operating point under the policy: Repeats
+// measurePoint reads one operating point under the policy: repeated
 // independent reads (each with its own retry budget), aggregated by the
-// median, with optional MAD rejection of outlier samples. With Repeats=1
-// and no rejection the single read is returned untouched, keeping the
+// median, with MAD rejection of outlier samples under the hardened policy.
+// The clean policy's single read is returned untouched, keeping the
 // clean-meter path bit-identical to the historical one. attempts totals the
 // meter reads spent across all repeats and retries — the ledger's
 // measurement-effort record.
-func (tb *Testbench) measurePoint(kt *trace.KernelTrace, p MeterPolicy) (m *silicon.Measurement, attempts int, err error) {
+func (tb *Testbench) measurePoint(kt *trace.KernelTrace) (m *silicon.Measurement, attempts int, err error) {
 	var good []*silicon.Measurement
 	var lastErr error
-	for r := 0; r < p.Repeats; r++ {
-		m, n, err := tb.runWithRetry(kt, p)
+	for r := 0; r < tb.Policy.repeats(); r++ {
+		m, n, err := tb.run(kt)
 		attempts += n
 		if err != nil {
 			lastErr = err
@@ -272,16 +238,16 @@ func (tb *Testbench) measurePoint(kt *trace.KernelTrace, p MeterPolicy) (m *sili
 	if len(good) == 0 {
 		return nil, attempts, lastErr
 	}
-	if len(good) == 1 && p.OutlierK <= 0 {
+	if len(good) == 1 && tb.Policy.outlierK() <= 0 {
 		return good[0], attempts, nil
 	}
-	return aggregateMeasurements(good, p), attempts, nil
+	return aggregateMeasurements(good, tb.Policy.outlierK()), attempts, nil
 }
 
-// aggregateMeasurements pools the samples of repeated reads, optionally
-// rejects outliers at OutlierK robust sigmas from the pooled median, and
-// reports the median of the surviving samples.
-func aggregateMeasurements(ms []*silicon.Measurement, p MeterPolicy) *silicon.Measurement {
+// aggregateMeasurements pools the samples of repeated reads, rejects
+// outliers at outlierK robust sigmas from the pooled median (0 rejects
+// none), and reports the median of the surviving samples.
+func aggregateMeasurements(ms []*silicon.Measurement, outlierK float64) *silicon.Measurement {
 	out := &silicon.Measurement{
 		Cycles:   ms[0].Cycles,
 		RuntimeS: ms[0].RuntimeS,
@@ -297,13 +263,13 @@ func aggregateMeasurements(ms []*silicon.Measurement, p MeterPolicy) *silicon.Me
 			pool = append(pool, m.AvgPowerW)
 		}
 	}
-	if p.OutlierK > 0 && len(pool) >= 4 {
+	if outlierK > 0 && len(pool) >= 4 {
 		med, mad, err := stats.MAD(pool)
 		if err == nil && mad > 0 {
 			sigma := 1.4826 * mad
 			kept := pool[:0]
 			for _, s := range pool {
-				if math.Abs(s-med) <= p.OutlierK*sigma {
+				if math.Abs(s-med) <= outlierK*sigma {
 					kept = append(kept, s)
 				}
 			}
@@ -323,7 +289,7 @@ func aggregateMeasurements(ms []*silicon.Measurement, p MeterPolicy) *silicon.Me
 // fitCubic dispatches between the plain and robust Eq. (3) fits per the
 // active policy.
 func (tb *Testbench) fitCubic(fGHz, powerW []float64) (qp.CubicFit, error) {
-	if tb.Policy.Robust {
+	if tb.Policy.hardened {
 		return qp.FitCubicNoQuadRobust(fGHz, powerW)
 	}
 	return qp.FitCubicNoQuad(fGHz, powerW)
@@ -331,7 +297,7 @@ func (tb *Testbench) fitCubic(fGHz, powerW []float64) (qp.CubicFit, error) {
 
 // fitLinear is the legacy-methodology analogue of fitCubic.
 func (tb *Testbench) fitLinear(fGHz, powerW []float64) (qp.LinearFit, error) {
-	if tb.Policy.Robust {
+	if tb.Policy.hardened {
 		return qp.FitLinearRobust(fGHz, powerW)
 	}
 	return qp.FitLinear(fGHz, powerW)

@@ -37,14 +37,13 @@ func (tb *Testbench) FitTemperature() (*TemperatureFit, error) {
 	const step = 15.0
 	temps := []float64{65, 65 + step, 65 + 2*step}
 	powers := make([]float64, len(temps))
-	pol := tb.Policy.normalized()
 	tb.Meter.ResetClock()
 	for i, tc := range temps {
 		tb.Meter.SetTemperature(tc)
-		m, _, err := tb.measurePoint(kt, pol)
+		m, _, err := tb.measurePoint(kt)
 		if err != nil {
 			tb.Meter.SetTemperature(65)
-			if pol.Robust {
+			if tb.Policy.hardened {
 				// A dead temperature ladder should not sink the whole
 				// tuning run: temperature scaling is a refinement on
 				// top of the 65C calibration point, and Coeff=0
@@ -62,7 +61,7 @@ func (tb *Testbench) FitTemperature() (*TemperatureFit, error) {
 	d01 := powers[1] - powers[0]
 	d12 := powers[2] - powers[1]
 	if d01 <= 0 || d12 <= 0 {
-		if pol.Robust {
+		if tb.Policy.hardened {
 			tb.quarantine("temperature-ladder",
 				fmt.Sprintf("power did not grow with temperature (%.2f, %.2f, %.2f W)",
 					powers[0], powers[1], powers[2]), qcTemperature)
@@ -73,7 +72,7 @@ func (tb *Testbench) FitTemperature() (*TemperatureFit, error) {
 	}
 	coeff := math.Log(d12/d01) / step
 	if !stats.AllFinite(coeff) || coeff <= 0 || coeff > 0.1 {
-		if pol.Robust {
+		if tb.Policy.hardened {
 			tb.quarantine("temperature-ladder",
 				fmt.Sprintf("implausible temperature coefficient %.4f/C", coeff), qcTemperature)
 			return &TemperatureFit{Coeff: 0, TemperaturesC: temps, PowerW: powers}, nil

@@ -25,10 +25,10 @@ import (
 // Testbench bundles one target device with its performance simulator. It is
 // read-only after construction (UseMeter aside) except for the shared
 // artifact store, so Replicate can hand each engine worker its own device
-// and simulator while all replicas memoise traces, measurements, profiles
-// and simulation results in one place — the tuning flow replays the same
-// kernels at many frequencies, and the 4-variant validation replays the
-// same kernels per variant, so nothing is ever emulated twice.
+// while all replicas memoise traces, measurements, profiles and simulation
+// results in one place — the tuning flow replays the same kernels at many
+// frequencies, and the 4-variant validation replays the same kernels per
+// variant, so nothing is ever emulated twice.
 type Testbench struct {
 	Arch   *config.Arch
 	Device *silicon.Device
@@ -36,8 +36,9 @@ type Testbench struct {
 	Scale  ubench.Scale
 
 	// Meter is the measurement path — the device itself by default, or a
-	// faults.FaultyMeter wrapping it (see UseMeter). Policy governs
-	// retries, repeats and robust aggregation on that path.
+	// faults.FaultyMeter wrapping it (see UseMeter). Policy, clean unless
+	// UseMeter installs another, governs retries, repeats and robust
+	// aggregation on that path.
 	Meter  faults.Meter
 	Policy MeterPolicy
 
@@ -101,27 +102,23 @@ func NewTestbench(arch *config.Arch, sc ubench.Scale) (*Testbench, error) {
 	}
 	return &Testbench{
 		Arch: arch, Device: dev, Sim: s, Scale: sc,
-		Meter:  dev,
-		Policy: DefaultMeterPolicy(),
-		arts:   newArtifacts(),
+		Meter: dev,
+		arts:  newArtifacts(),
 	}, nil
 }
 
 // Replicate builds a worker-private copy of the testbench for the execution
-// engine: a device replica and a fresh simulator (both deterministic, so
-// replicas measure exactly what the original would), sharing the artifact
-// store, quarantine state and the device's replay memo. A fault-injected
-// meter is replicated around the new device with shared fault state; any
-// other custom meter is shared as-is and must be safe for concurrent use
-// (or the caller must keep workers=1).
-func (tb *Testbench) Replicate() (*Testbench, error) {
+// engine: a device replica (deterministic, so a replica measures exactly
+// what the original would) sharing the simulator, the artifact store,
+// quarantine state and the device's replay memo. A Simulator is read-only
+// after sim.New, so one serves every replica. A fault-injected meter is
+// replicated around the new device with shared fault state; any other
+// custom meter is shared as-is and must be safe for concurrent use (or the
+// caller must keep workers=1).
+func (tb *Testbench) Replicate() *Testbench {
 	dev := tb.Device.Replica()
-	s, err := sim.New(tb.Arch)
-	if err != nil {
-		return nil, err
-	}
 	nt := &Testbench{
-		Arch: tb.Arch, Device: dev, Sim: s, Scale: tb.Scale,
+		Arch: tb.Arch, Device: dev, Sim: tb.Sim, Scale: tb.Scale,
 		Policy: tb.Policy,
 		arts:   tb.arts,
 	}
@@ -137,7 +134,7 @@ func (tb *Testbench) Replicate() (*Testbench, error) {
 	default:
 		nt.Meter = tb.Meter
 	}
-	return nt, nil
+	return nt
 }
 
 // Workload is anything the testbench can run: a kernel plus its memory
@@ -201,11 +198,10 @@ func (tb *Testbench) Measure(w Workload, clockMHz float64) (*silicon.Measurement
 		if err != nil {
 			return nil, err
 		}
-		pol := tb.Policy.normalized()
 		if out.errMsg != "" {
 			obs.Emit(obs.Event{Kind: obs.KindMeasureErr, Stage: "tune/measure",
 				Workload: w.Name, ClockMHz: clockMHz, Attempts: out.attempts, Error: out.errMsg})
-			tb.noteFailure(w.Name, pol)
+			tb.noteFailure(w.Name)
 			return nil, fmt.Errorf("tune: measuring %s at %.0f MHz: %s: %w", w.Name, clockMHz, out.errMsg, ErrMeasurement)
 		}
 		obs.Emit(obs.Event{Kind: obs.KindMeasure, Stage: "tune/measure",
@@ -223,14 +219,13 @@ func (tb *Testbench) localPoint(w Workload, clockMHz float64) (pointOutcome, err
 	if err != nil {
 		return pointOutcome{}, err
 	}
-	pol := tb.Policy.normalized()
 	sp := obs.StartSpan("tune/measure").WithWorker(tb.Worker).WithDetail(w.Name)
 	defer sp.End()
 	tb.Meter.SetTemperature(65)
 	if err := tb.Meter.SetClock(clockMHz); err != nil {
 		return pointOutcome{}, err
 	}
-	m, attempts, err := tb.measurePoint(kt, pol)
+	m, attempts, err := tb.measurePoint(kt)
 	tb.Meter.ResetClock()
 	if err != nil {
 		return pointOutcome{attempts: attempts, errMsg: err.Error()}, nil
@@ -246,12 +241,11 @@ func (tb *Testbench) Profile(w Workload) (*silicon.Counters, error) {
 		if err != nil {
 			return nil, err
 		}
-		pol := tb.Policy.normalized()
 		sp := obs.StartSpan("tune/profile").WithWorker(tb.Worker).WithDetail(w.Name)
 		defer sp.End()
-		c, err := tb.profileWithRetry(kt, pol)
+		c, _, err := withRetry(tb.Policy, func() (*silicon.Counters, error) { return tb.Meter.Profile(kt) })
 		if err != nil {
-			tb.noteFailure(w.Name, pol)
+			tb.noteFailure(w.Name)
 			return nil, fmt.Errorf("tune: profiling %s: %v: %w", w.Name, err, ErrMeasurement)
 		}
 		return c, nil

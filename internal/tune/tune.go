@@ -6,15 +6,11 @@ import (
 
 	"accelwattch/internal/core"
 	"accelwattch/internal/obs"
-	"accelwattch/internal/qp"
 	"accelwattch/internal/ubench"
 )
 
-// Options configures the full tuning flow.
+// Options configures Tune.
 type Options struct {
-	Sweep FreqSweep  // DVFS ladder for constant-power estimation
-	QP    qp.Options // quadratic-programming solver settings
-
 	// Workers is the execution-engine pool size. Values < 1 mean 1
 	// (sequential), which is also the safe default for testbenches with
 	// custom meters that cannot be replicated. Results are bit-identical
@@ -22,13 +18,8 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions uses the device's full frequency range.
-func (tb *Testbench) DefaultOptions() Options {
-	return Options{
-		Sweep: DefaultSweep(tb.Arch.MinClockMHz+65, tb.Arch.MaxClockMHz),
-		QP:    qp.DefaultOptions(),
-	}
-}
+// DefaultOptions tunes on one worker.
+func (tb *Testbench) DefaultOptions() Options { return Options{} }
 
 // Result is a fully-constructed AccelWattch model set for one architecture:
 // the shared constant/static/idle models plus one dynamic model per variant
@@ -73,15 +64,17 @@ func Tune(tb *Testbench, opts Options) (*Result, error) {
 // Tune runs the complete Figure 1 flow through the execution engine: each
 // stage maps its measurements across the worker pool and folds them through
 // its sequential fitting logic, and the per-variant dynamic tuning fans out
-// one variant per worker.
-func (ex *Exec) Tune(opts Options) (*Result, error) {
+// one variant per worker. The constant-power ladder spans the device's
+// clock range in 200 MHz steps from 65 MHz above its minimum (Section 4.2).
+// The Options argument is not read: the engine's pool sets the workers.
+func (ex *Exec) Tune(Options) (*Result, error) {
 	tb := ex.TB()
 	out := &Result{}
 	tuneSpan := ex.StageSpan("tune")
 	defer tuneSpan.End()
 
 	sp := tuneSpan.Child("tune/const_power")
-	cp, err := ex.EstimateConstPower(opts.Sweep)
+	cp, err := ex.EstimateConstPower(DefaultSweep(tb.Arch.MinClockMHz+65, tb.Arch.MaxClockMHz))
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("tune: constant power: %w", err)
@@ -136,7 +129,7 @@ func (ex *Exec) Tune(opts Options) (*Result, error) {
 	}
 
 	sp = tuneSpan.Child("tune/ubench_suite")
-	benches, err := ubench.SuiteParallel(ex.ctx, tb.Arch, tb.Scale, ex.Workers())
+	benches, err := ubench.Suite(tb.Arch, tb.Scale)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -161,7 +154,7 @@ func (ex *Exec) Tune(opts Options) (*Result, error) {
 		for i := range samples {
 			vs[i] = samples[i][v]
 		}
-		best, other, err := r.TuneDynamic(vs, v, skeleton, opts.QP)
+		best, other, err := r.TuneDynamic(vs, v, skeleton)
 		return variantFit{best, other}, err
 	})
 	sp.End()

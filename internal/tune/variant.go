@@ -34,6 +34,17 @@ func (v Variant) String() string {
 // Variants lists all four in presentation order.
 func Variants() []Variant { return []Variant{SASSSIM, PTXSIM, HW, HYBRID} }
 
+// ParseVariant returns the variant whose wire name ("SASS_SIM", "PTX_SIM",
+// "HW", "HYBRID") is name, and whether there is one.
+func ParseVariant(name string) (Variant, bool) {
+	for v, n := range variantNames {
+		if n == name {
+			return Variant(v), true
+		}
+	}
+	return 0, false
+}
+
 // Activity assembles the activity vector of Eq. (12) for a workload under a
 // variant:
 //

@@ -1,11 +1,9 @@
 package ubench
 
 import (
-	"context"
 	"fmt"
 
 	"accelwattch/internal/config"
-	"accelwattch/internal/engine"
 	"accelwattch/internal/isa"
 )
 
@@ -13,19 +11,10 @@ import (
 // architecture. The inventory is checked against the paper's per-category
 // counts before returning.
 func Suite(arch *config.Arch, sc Scale) ([]Bench, error) {
-	return SuiteParallel(context.Background(), arch, sc, 1)
-}
-
-// SuiteParallel generates the Table 2 suite with kernel construction fanned
-// out across workers. gen is a pure function of its spec, so the resulting
-// slice is identical at every worker count (and to Suite's).
-func SuiteParallel(ctx context.Context, arch *config.Arch, sc Scale, workers int) ([]Bench, error) {
 	specs := suiteSpecs(arch)
-	out, err := engine.MapN(ctx, workers, len(specs), func(_ context.Context, i int) (Bench, error) {
-		return gen(arch, sc, specs[i]), nil
-	})
-	if err != nil {
-		return nil, err
+	out := make([]Bench, len(specs))
+	for i, o := range specs {
+		out[i] = gen(arch, sc, o)
 	}
 	if err := checkSuiteCounts(out); err != nil {
 		return nil, err

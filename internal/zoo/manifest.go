@@ -206,9 +206,9 @@ func Build(m *Manifest, opts BuildOptions) (*Set, error) {
 	return set, nil
 }
 
-// buildFileEntry loads a saved model and applies the tuned-variant guard:
-// a model tagged with the variant it was tuned under serves only that
-// variant, unless all_variants explicitly (and loudly) overrides.
+// buildFileEntry loads a saved model and applies the tuned-variant guard
+// (FromModel), warning whenever a tagged model is restricted or, under
+// all_variants, served for every variant.
 func buildFileEntry(me *ManifestEntry, dir string, warn func(string, ...any)) (*Entry, error) {
 	path := me.File
 	if !filepath.IsAbs(path) && dir != "" {
@@ -218,21 +218,20 @@ func buildFileEntry(me *ManifestEntry, dir string, warn func(string, ...any)) (*
 	if err != nil {
 		return nil, err
 	}
-	source := "file:" + me.File
-	if model.TunedVariant == "" || me.AllVariants {
-		if model.TunedVariant != "" {
-			warn("entry %q: model %s records tuned variant %s but all_variants serves it for every variant — estimates under other variants are unvalidated",
-				me.Name, me.File, model.TunedVariant)
-		}
-		return Uniform(me.Name, model, source)
+	e, err := FromModel(me.Name, model, "file:"+me.File, me.AllVariants)
+	if err != nil {
+		return nil, err
 	}
-	v, ok := variantByName(model.TunedVariant)
-	if !ok {
-		return nil, fmt.Errorf("model %s records unknown tuned variant %q", me.File, model.TunedVariant)
+	switch {
+	case model.TunedVariant == "":
+	case me.AllVariants:
+		warn("entry %q: model %s records tuned variant %s but all_variants serves it for every variant — estimates under other variants are unvalidated",
+			me.Name, me.File, model.TunedVariant)
+	default:
+		warn("entry %q: model %s was tuned under %s; serving it for that variant only (set all_variants to override)",
+			me.Name, me.File, model.TunedVariant)
 	}
-	warn("entry %q: model %s was tuned under %s; serving it for that variant only (set all_variants to override)",
-		me.Name, me.File, model.TunedVariant)
-	return PerVariant(me.Name, map[tune.Variant]*core.Model{v: model}, source)
+	return e, nil
 }
 
 func buildDeriveEntry(me *ManifestEntry, base *Entry) (*Entry, error) {
@@ -244,13 +243,4 @@ func buildDeriveEntry(me *ManifestEntry, base *Entry) (*Entry, error) {
 		return nil, err
 	}
 	return Derive(me.Name, base, arch, me.Derive.ConstMult)
-}
-
-func variantByName(name string) (tune.Variant, bool) {
-	for _, v := range tune.Variants() {
-		if v.String() == name {
-			return v, true
-		}
-	}
-	return 0, false
 }

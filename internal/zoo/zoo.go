@@ -183,6 +183,21 @@ func Uniform(name string, m *core.Model, source string) (*Entry, error) {
 	return e, nil
 }
 
+// FromModel builds an entry serving one saved model under the
+// tuned-variant guard: a model tagged with the variant it was tuned under
+// serves only that variant unless allVariants is set, and an untagged
+// model serves every variant.
+func FromModel(name string, m *core.Model, source string, allVariants bool) (*Entry, error) {
+	if m == nil || m.TunedVariant == "" || allVariants {
+		return Uniform(name, m, source)
+	}
+	v, ok := tune.ParseVariant(m.TunedVariant)
+	if !ok {
+		return nil, fmt.Errorf("zoo: entry %s: model records unknown tuned variant %q", name, m.TunedVariant)
+	}
+	return PerVariant(name, map[tune.Variant]*core.Model{v: m}, source)
+}
+
 // PerVariant builds an entry from a variant->model map (a tuned session's
 // shape). All models must target the same architecture.
 func PerVariant(name string, models map[tune.Variant]*core.Model, source string) (*Entry, error) {
