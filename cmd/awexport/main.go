@@ -101,7 +101,7 @@ func shutdownFlush(reg *obs.Registry, run *cli.Run, metricsOut, reason string) e
 func main() {
 	var (
 		addr      = flag.String("addr", ":9767", "HTTP listen address")
-		archName  = flag.String("arch", "volta", "architecture to tune (volta, pascal, turing)")
+		archName  = flag.String("arch", "volta", "architecture to tune (volta, pascal, turing, or a full or chip name such as titanx)")
 		full      = flag.Bool("full", false, "use the full-fidelity workload scale")
 		validate  = flag.Bool("validate", true, "run the four-variant validation suite after tuning")
 		faultName = flag.String("faults", "off", "inject power-meter faults ("+

@@ -156,7 +156,7 @@ func (st *state) index() string {
 func main() {
 	var (
 		addr      = flag.String("addr", ":9768", "HTTP listen address")
-		archName  = flag.String("arch", "volta", "architecture to attribute on (volta, pascal, turing)")
+		archName  = flag.String("arch", "volta", "architecture to attribute on (volta, pascal, turing, or a full or chip name such as titanx)")
 		modelPath = flag.String("model", "", "power model file (accelwattch-model-v1 JSON); default is the untuned reference model")
 		tenants   = flag.Int("tenants", 256, "synthetic tenant fleet size")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "sampling worker count (attribution is identical at any setting)")

@@ -83,7 +83,7 @@ func main() {
 		energy     = flag.Bool("energy", false, "render the per-tenant energy chargeback table from the ledger's attribution events")
 		variant    = flag.String("variant", "", "only report this variant (SASS_SIM, PTX_SIM, HW, HYBRID)")
 		byCategory = flag.Bool("by-category", false, "fold attribution rows by inference-pack category instead of per kernel (live runs validate the inference pack)")
-		archName   = flag.String("arch", "volta", "architecture for live runs (volta, pascal, turing)")
+		archName   = flag.String("arch", "volta", "architecture for live runs (volta, pascal, turing, or a full or chip name such as titanx)")
 		full       = flag.Bool("full", false, "use the full-fidelity workload scale for live runs")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "execution-engine worker count for live runs")
 	)

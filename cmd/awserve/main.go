@@ -10,9 +10,9 @@
 //	curl -d '{"arch":"pascal","variant":"SASS_SIM",...}' localhost:8080/estimate
 //
 // Under -models, requests route by the "model" (entry name) or "arch"
-// (family alias) body field, and the admin endpoints (GET /models, PUT
-// /models/{name}, DELETE /models/{name}) hot-add, replace, or retire
-// entries under load without draining.
+// (family, full or chip name) body field, and the admin endpoints (GET
+// /models, PUT /models/{name}, DELETE /models/{name}) hot-add, replace, or
+// retire entries under load without draining.
 //
 // Each estimate is computed in its request handler: at most -workers
 // computations run at once, up to -queue more wait for a slot (until
@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"accelwattch/internal/cli"
-	"accelwattch/internal/core"
 	"accelwattch/internal/serve"
 	"accelwattch/internal/zoo"
 )
@@ -49,7 +48,7 @@ func main() {
 	log.SetPrefix("awserve: ")
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		archName     = flag.String("arch", "volta", "architecture to tune at startup (volta, pascal, turing)")
+		archName     = flag.String("arch", "volta", "architecture to tune at startup (volta, pascal, turing, or a full or chip name such as titanx)")
 		full         = flag.Bool("full", false, "tune at the full-fidelity workload scale")
 		modelPath    = flag.String("model", "", "serve a saved model file (accelwattch-model-v1 JSON) for all variants instead of tuning")
 		manifestPath = flag.String("models", "", "serve a multi-architecture model zoo from a manifest file (overrides -model/-arch)")
@@ -116,47 +115,28 @@ func main() {
 	}
 }
 
-// buildSet produces the model zoo the gateway serves. Three shapes:
+// buildSet produces the model zoo the gateway serves. Every mode is a
+// manifest built by zoo.Build:
 //
 //   - -models manifest.json: the full multi-architecture zoo — tuned,
 //     file-loaded, and derived entries, with routing and admin enabled
 //     across all of them;
-//   - -model file.json: the legacy single-file mode, one saved model
-//     answering for every variant. A model that records the variant it was
-//     tuned under still serves all variants here (flag compatibility), but
-//     the mismatch is logged loudly at startup and counted per estimate in
+//   - -model file.json: a one-entry manifest, the file entry "saved" with
+//     all_variants set. A model that records the variant it was tuned
+//     under still serves every variant here (flag compatibility), but the
+//     mismatch is logged loudly at startup and counted per estimate in
 //     aw_serve_variant_mismatch_total;
-//   - neither: tune -arch at startup, exactly as before.
+//   - neither: a one-entry manifest that tunes -arch at startup, the entry
+//     "<arch>-tuned".
 func buildSet(manifestPath, modelPath, archName string, full bool, workers int,
 	warn func(format string, args ...any)) (*zoo.Set, error) {
-	if warn == nil {
-		warn = func(string, ...any) {}
-	}
 	if manifestPath != "" {
 		return cli.BuildModelSet(manifestPath, workers, nil, warn)
 	}
+	me := zoo.ManifestEntry{Name: archName + "-tuned", Tune: &zoo.TuneSpec{Arch: archName, Full: full}}
 	if modelPath != "" {
-		m, err := core.LoadModel(modelPath)
-		if err != nil {
-			return nil, err
-		}
-		if m.TunedVariant != "" {
-			warn("model %s records tuned variant %s but -model serves it for every variant — estimates under other variants are unvalidated (use a -models manifest to restrict)",
-				modelPath, m.TunedVariant)
-		}
-		e, err := zoo.FromModel("saved", m, "file:"+modelPath, true)
-		if err != nil {
-			return nil, err
-		}
-		return &zoo.Set{Default: e.Name, Entries: []*zoo.Entry{e}}, nil
+		me = zoo.ManifestEntry{Name: "saved", File: modelPath, AllVariants: true}
 	}
-	models, source, err := cli.TuneModels(workers)(archName, full)
-	if err != nil {
-		return nil, err
-	}
-	e, err := zoo.PerVariant(archName+"-tuned", models, source)
-	if err != nil {
-		return nil, err
-	}
-	return &zoo.Set{Default: e.Name, Entries: []*zoo.Entry{e}}, nil
+	return zoo.Build(&zoo.Manifest{Models: []zoo.ManifestEntry{me}},
+		zoo.BuildOptions{Tune: cli.TuneModels(workers), Warn: warn})
 }

@@ -25,7 +25,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("awsweep: ")
 	var (
-		archName   = flag.String("arch", "volta", "target architecture (volta, pascal, turing)")
+		archName   = flag.String("arch", "volta", "target architecture (volta, pascal, turing, or a full or chip name such as titanx)")
 		exp        = flag.String("exp", "all", "experiment: dvfs, gating, divergence, idlesm, or all")
 		full       = flag.Bool("full", false, "use the full-fidelity workload scale")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "execution-engine worker count (results are identical at any setting)")

@@ -25,7 +25,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("awtune: ")
 	var (
-		archName  = flag.String("arch", "volta", "architecture to tune for (volta, pascal, turing)")
+		archName  = flag.String("arch", "volta", "architecture to tune for (volta, pascal, turing, or a full or chip name such as titanx)")
 		full      = flag.Bool("full", false, "use the full-fidelity workload scale")
 		outPath   = flag.String("o", "", "save the tuned SASS SIM model as a JSON config file")
 		faultName = flag.String("faults", "off", "inject power-meter faults while tuning ("+

@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"accelwattch"
+	"accelwattch/internal/core"
 	"accelwattch/internal/eval"
 	"accelwattch/internal/isa"
 	"accelwattch/internal/tune"
@@ -65,16 +66,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		model := sess.Model(accelwattch.SASSSIM)
-		if target.Name != "volta-gv100" {
-			constMult := 1.0
-			if target.Name == "turing-rtx2060s" {
-				constMult = 1.7
-			}
-			model, err = model.Retarget(target, constMult)
-			if err != nil {
-				log.Fatal(err)
-			}
+		// On Volta itself the transform is the identity.
+		model, _, err := sess.Model(accelwattch.SASSSIM).Derive(target, core.DefaultConstMult(target))
+		if err != nil {
+			log.Fatal(err)
 		}
 		p, err := model.EstimatePower(r.Aggregate)
 		if err != nil {

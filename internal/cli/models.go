@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 
 	"accelwattch"
+	"accelwattch/internal/config"
 	"accelwattch/internal/core"
 	"accelwattch/internal/tune"
 	"accelwattch/internal/zoo"
@@ -36,7 +37,7 @@ func BuildModelSet(path string, workers int,
 // server always ran at startup.
 func TuneModels(workers int) zoo.TuneFunc {
 	return func(archAlias string, full bool) (map[tune.Variant]*core.Model, string, error) {
-		arch, err := zoo.ResolveArch(archAlias)
+		arch, err := config.ByName(archAlias)
 		if err != nil {
 			return nil, "", err
 		}

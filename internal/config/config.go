@@ -203,15 +203,30 @@ func Turing() *Arch {
 	}
 }
 
-// ByName returns a stock architecture by its short name ("volta", "pascal",
-// "turing") or full name.
-func ByName(name string) (*Arch, error) {
-	switch name {
+// FullName maps an architecture alias onto the full config name of the
+// stock architecture it denotes ("titanx" -> "pascal-titanx"). It is the
+// one alias table: everything that accepts an architecture by name reads
+// it, and it allocates nothing, so request routing can call it per request.
+func FullName(alias string) (string, bool) {
+	switch alias {
 	case "volta", "volta-gv100", "gv100":
-		return Volta(), nil
+		return "volta-gv100", true
 	case "pascal", "pascal-titanx", "titanx":
-		return Pascal(), nil
+		return "pascal-titanx", true
 	case "turing", "turing-rtx2060s", "rtx2060s":
+		return "turing-rtx2060s", true
+	}
+	return "", false
+}
+
+// ByName returns the stock architecture an alias denotes (see FullName).
+func ByName(name string) (*Arch, error) {
+	switch full, _ := FullName(name); full {
+	case "volta-gv100":
+		return Volta(), nil
+	case "pascal-titanx":
+		return Pascal(), nil
+	case "turing-rtx2060s":
 		return Turing(), nil
 	}
 	return nil, fmt.Errorf("config: unknown architecture %q", name)

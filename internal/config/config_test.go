@@ -48,13 +48,43 @@ func TestVoltageNearLinear(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"volta", "gv100", "pascal", "titanx", "turing", "rtx2060s"} {
-		if _, err := ByName(name); err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
+	for alias, want := range map[string]string{
+		"volta": "volta-gv100", "volta-gv100": "volta-gv100", "gv100": "volta-gv100",
+		"pascal": "pascal-titanx", "pascal-titanx": "pascal-titanx", "titanx": "pascal-titanx",
+		"turing": "turing-rtx2060s", "turing-rtx2060s": "turing-rtx2060s", "rtx2060s": "turing-rtx2060s",
+	} {
+		a, err := ByName(alias)
+		if err != nil {
+			t.Errorf("ByName(%q): %v", alias, err)
+			continue
+		}
+		if a.Name != want {
+			t.Errorf("ByName(%q) = %q, want %q", alias, a.Name, want)
+		}
+		if full, ok := FullName(alias); !ok || full != want {
+			t.Errorf("FullName(%q) = %q, %v; want %q", alias, full, ok, want)
 		}
 	}
-	if _, err := ByName("fermi"); err == nil {
-		t.Error("unknown architecture accepted")
+	for _, bad := range []string{"fermi", "", "Volta", "volta-", "pascal-gv100"} {
+		if _, err := ByName(bad); err == nil {
+			t.Errorf("ByName(%q) accepted an unknown architecture", bad)
+		}
+		if full, ok := FullName(bad); ok {
+			t.Errorf("FullName(%q) = %q, want no match", bad, full)
+		}
+	}
+}
+
+// Request routing resolves the body's arch through FullName on every
+// request, so the lookup must not allocate.
+func TestFullNameAllocatesNothing(t *testing.T) {
+	alias := string([]byte("titanx")) // not a constant the compiler can fold
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := FullName(alias); !ok {
+			t.Fatal("titanx did not resolve")
+		}
+	}); n != 0 {
+		t.Fatalf("FullName allocates %v times per call, want 0", n)
 	}
 }
 

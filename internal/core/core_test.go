@@ -270,35 +270,6 @@ func TestActivityAddAndScale(t *testing.T) {
 	}
 }
 
-func TestRetarget(t *testing.T) {
-	m := testModel()
-	// Volta (12nm) -> Pascal (16nm) applies technology scaling.
-	p, err := m.Retarget(config.Pascal(), 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Arch.Name != "pascal-titanx" {
-		t.Error("arch not retargeted")
-	}
-	if p.BaseEnergyPJ[CompALU] <= m.BaseEnergyPJ[CompALU] {
-		t.Error("16nm retarget must increase dynamic energies")
-	}
-	if p.Div[0].FirstLaneW <= m.Div[0].FirstLaneW {
-		t.Error("16nm retarget must increase static power")
-	}
-	// Volta -> Turing (both 12nm) with the paper's 1.7x constant power.
-	tu, err := m.Retarget(config.Turing(), 1.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tu.ConstW-m.ConstW*1.7) > 1e-9 {
-		t.Errorf("Turing const = %v, want 1.7x", tu.ConstW)
-	}
-	if tu.BaseEnergyPJ[CompALU] != m.BaseEnergyPJ[CompALU] {
-		t.Error("same-node retarget must not scale energies")
-	}
-}
-
 func TestEstimateTrace(t *testing.T) {
 	m := testModel()
 	a := fullActivity()

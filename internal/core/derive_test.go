@@ -101,6 +101,19 @@ func TestDeriveVoltaToTuring(t *testing.T) {
 	}
 }
 
+// The Section 7.1 board multiplier: x1.7 on Turing's consumer board, x1.0
+// on every other target (a nil target included).
+func TestDefaultConstMult(t *testing.T) {
+	if got := DefaultConstMult(config.Turing()); got != 1.7 {
+		t.Errorf("DefaultConstMult(Turing) = %v, want 1.7", got)
+	}
+	for _, a := range []*config.Arch{config.Volta(), config.Pascal(), nil} {
+		if got := DefaultConstMult(a); got != 1.0 {
+			t.Errorf("DefaultConstMult(%v) = %v, want 1.0", a, got)
+		}
+	}
+}
+
 func TestDeriveRejects(t *testing.T) {
 	m := testModel()
 	for _, cm := range []float64{0, -1, math.Inf(1), math.NaN()} {

@@ -379,6 +379,16 @@ type Derivation struct {
 // unit constant-power multiplier.
 func (d Derivation) Identity() bool { return d.Tech.Identity() && d.ConstMult == 1 }
 
+// DefaultConstMult is the Section 7.1 constant-power multiplier for a
+// derivation onto arch: 1.7 on the Turing RTX 2060S, whose consumer board
+// adds fans and peripheral circuitry, and 1.0 otherwise.
+func DefaultConstMult(arch *config.Arch) float64 {
+	if arch != nil && arch.Name == "turing-rtx2060s" {
+		return 1.7
+	}
+	return 1.0
+}
+
 // Derive returns a copy of the model retargeted to a new architecture
 // without retuning — the design-space-exploration transform of Section 7.1
 // — together with the derivation record describing exactly what was
@@ -416,11 +426,4 @@ func (m *Model) Derive(arch *config.Arch, constMult float64) (*Model, Derivation
 		}
 	}
 	return &out, d, nil
-}
-
-// Retarget is Derive without the provenance record, kept for the case-study
-// evaluation path (Figures 10-12) that only needs the transformed model.
-func (m *Model) Retarget(arch *config.Arch, constMult float64) (*Model, error) {
-	out, _, err := m.Derive(arch, constMult)
-	return out, err
 }

@@ -22,7 +22,6 @@
 package engine
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,12 +73,12 @@ func (p *Pool[R]) Primary() R { return p.replicas[0] }
 // input order. A single-replica pool runs inline with no goroutines. On
 // failure the lowest-index error is returned (matching sequential abort
 // semantics) and unclaimed items are skipped; the returned slice is nil.
-// Context cancellation stops claiming new items and returns ctx.Err()
-// unless an item error takes precedence.
-func Map[R, T, V any](ctx context.Context, p *Pool[R], items []T, fn func(ctx context.Context, r R, item T) (V, error)) ([]V, error) {
+// A worker checks for a failure before it claims an item, never after, so
+// every item below the failing one runs to completion.
+func Map[R, T, V any](p *Pool[R], items []T, fn func(r R, item T) (V, error)) ([]V, error) {
 	out := make([]V, len(items))
 	if len(items) == 0 {
-		return out, ctx.Err()
+		return out, nil
 	}
 	mFanouts.Inc()
 	mPoolWorkers.Set(float64(p.Workers()))
@@ -92,15 +91,10 @@ func Map[R, T, V any](ctx context.Context, p *Pool[R], items []T, fn func(ctx co
 	if p.Workers() == 1 {
 		busy := workerBusy(0)
 		for i := range items {
-			if err := ctx.Err(); err != nil {
-				mCancellations.Inc()
-				mTasksCancelled.Add(float64(len(items) - i))
-				return nil, err
-			}
 			claimed.Add(1)
 			mQueueDepth.Add(-1)
 			start := time.Now()
-			v, err := fn(ctx, p.replicas[0], items[i])
+			v, err := fn(p.replicas[0], items[i])
 			d := time.Since(start).Seconds()
 			mTaskSeconds.Observe(d)
 			busy.Add(d)
@@ -114,12 +108,9 @@ func Map[R, T, V any](ctx context.Context, p *Pool[R], items []T, fn func(ctx co
 		return out, nil
 	}
 
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	var (
 		next     atomic.Int64
+		failed   atomic.Bool // set on the first error: stop claiming items
 		errMu    sync.Mutex
 		firstErr error
 		firstIdx = len(items)
@@ -136,15 +127,15 @@ func Map[R, T, V any](ctx context.Context, p *Pool[R], items []T, fn func(ctx co
 			busy := workerBusy(w)
 			sp := obs.StartSpan("engine/worker").WithWorker(w)
 			defer sp.End()
-			for {
+			for !failed.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= len(items) || ctx.Err() != nil {
+				if i >= len(items) {
 					return
 				}
 				claimed.Add(1)
 				mQueueDepth.Add(-1)
 				start := time.Now()
-				v, err := fn(ctx, rep, items[i])
+				v, err := fn(rep, items[i])
 				d := time.Since(start).Seconds()
 				mTaskSeconds.Observe(d)
 				busy.Add(d)
@@ -155,7 +146,7 @@ func Map[R, T, V any](ctx context.Context, p *Pool[R], items []T, fn func(ctx co
 						firstIdx, firstErr = i, err
 					}
 					errMu.Unlock()
-					cancel() // stop claiming further items
+					failed.Store(true)
 					return
 				}
 				mTasksOK.Inc()
@@ -166,10 +157,6 @@ func Map[R, T, V any](ctx context.Context, p *Pool[R], items []T, fn func(ctx co
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
-	}
-	if err := parent.Err(); err != nil {
-		mCancellations.Inc()
-		return nil, err
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -18,7 +17,7 @@ func TestMapOrdersResults(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	out, err := Map(context.Background(), pool, items, func(_ context.Context, _ int, it int) (int, error) {
+	out, err := Map(pool, items, func(_ int, it int) (int, error) {
 		return it * it, nil
 	})
 	if err != nil {
@@ -38,7 +37,7 @@ func TestMapMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Map(context.Background(), pool, items, func(_ context.Context, _ int, it int) (int, error) {
+		out, err := Map(pool, items, func(_ int, it int) (int, error) {
 			return it + 10, nil
 		})
 		if err != nil {
@@ -65,7 +64,7 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 	}
 	// Items 7 and 23 fail; the reported error must be item 7's — the one
 	// sequential execution stops at.
-	out, err := Map(context.Background(), pool, items, func(_ context.Context, _ int, it int) (int, error) {
+	out, err := Map(pool, items, func(_ int, it int) (int, error) {
 		if it == 7 || it == 23 {
 			return 0, fmt.Errorf("item %d failed", it)
 		}
@@ -76,35 +75,6 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 	}
 	if err == nil || err.Error() != "item 7 failed" {
 		t.Fatalf("got error %v, want item 7's", err)
-	}
-}
-
-func TestMapContextCancellation(t *testing.T) {
-	pool, err := NewPool(0, 4, func() (int, error) { return 0, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var started atomic.Int64
-	release := make(chan struct{})
-	items := make([]int, 1000)
-	go func() {
-		// Cancel once the first wave is in flight, then release it.
-		for started.Load() == 0 {
-		}
-		cancel()
-		close(release)
-	}()
-	_, err = Map(ctx, pool, items, func(ctx context.Context, _ int, _ int) (int, error) {
-		started.Add(1)
-		<-release
-		return 0, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if n := started.Load(); n >= 1000 {
-		t.Fatalf("cancellation did not stop item claiming (%d started)", n)
 	}
 }
 
@@ -122,7 +92,7 @@ func TestMapDistributesAcrossReplicas(t *testing.T) {
 	// Each call blocks until two distinct replicas have checked in. A
 	// single replica cannot drain the items alone (its first call blocks),
 	// so another worker must claim work, unblocking everyone.
-	_, err = Map(context.Background(), pool, items, func(_ context.Context, rep int, _ int) (int, error) {
+	_, err = Map(pool, items, func(rep int, _ int) (int, error) {
 		mu.Lock()
 		seen[rep] = true
 		if len(seen) >= 2 && !closed {

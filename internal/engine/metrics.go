@@ -15,9 +15,8 @@ import (
 var (
 	mTasks = obs.Default().CounterVec("aw_engine_tasks_total",
 		"Engine tasks finished, by outcome.", "outcome")
-	mTasksOK        = mTasks.With("ok")
-	mTasksErr       = mTasks.With("error")
-	mTasksCancelled = mTasks.With("cancelled")
+	mTasksOK  = mTasks.With("ok")
+	mTasksErr = mTasks.With("error")
 
 	mTaskSeconds = obs.Default().Histogram("aw_engine_task_seconds",
 		"Wall-clock latency of individual engine tasks.",
@@ -28,9 +27,6 @@ var (
 
 	mFanouts = obs.Default().Counter("aw_engine_fanouts_total",
 		"Map fan-outs started.")
-
-	mCancellations = obs.Default().Counter("aw_engine_cancellations_total",
-		"Fan-outs aborted by context cancellation.")
 
 	mWorkerBusy = obs.Default().CounterVec("aw_engine_worker_busy_seconds_total",
 		"Wall-clock seconds each worker spent executing tasks.", "worker")

@@ -21,15 +21,6 @@ type CaseStudyResult struct {
 	Model   *core.Model
 }
 
-// constMultFor returns the constant-power adjustment of Section 7.1: 1.7x
-// for Turing's consumer board (fans, peripheral circuitry), 1.0 otherwise.
-func constMultFor(arch *config.Arch) float64 {
-	if arch.Name == "turing-rtx2060s" {
-		return 1.7
-	}
-	return 1.0
-}
-
 // CaseStudy retargets the tuned Volta models to a new architecture and
 // validates against that architecture's silicon: technology scaling is
 // applied when nodes differ (Pascal, 16 nm), constant power is adjusted for
@@ -51,7 +42,8 @@ func CaseStudy(tuned *tune.Result, target *config.Arch, sc ubench.Scale, workers
 	}
 	out := &CaseStudyResult{Arch: target, Testbed: tb}
 
-	sassModel, err := tuned.Model(tune.SASSSIM).Retarget(target, constMultFor(target))
+	constMult := core.DefaultConstMult(target)
+	sassModel, _, err := tuned.Model(tune.SASSSIM).Derive(target, constMult)
 	if err != nil {
 		return nil, fmt.Errorf("eval: retarget SASS model: %w", err)
 	}
@@ -59,7 +51,7 @@ func CaseStudy(tuned *tune.Result, target *config.Arch, sc ubench.Scale, workers
 	if out.SASS, err = validate(ex, sassModel, target.Name, tune.SASSSIM, suite); err != nil {
 		return nil, err
 	}
-	ptxModel, err := tuned.Model(tune.PTXSIM).Retarget(target, constMultFor(target))
+	ptxModel, _, err := tuned.Model(tune.PTXSIM).Derive(target, constMult)
 	if err != nil {
 		return nil, err
 	}

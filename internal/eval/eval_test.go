@@ -149,16 +149,16 @@ func (c *countingMeter) Run(kts ...*trace.KernelTrace) (*silicon.Measurement, er
 // TestValidateAllMeasuresEachKernelOnce asserts the satellite requirement
 // that the four-variant validation measures each kernel on silicon exactly
 // once: the measurement is keyed by (workload, frequency), not by variant.
-func TestValidateAllMeasuresEachKernelOnce(t *testing.T) {
+// smallFixture is a small-scale Volta testbench, its validation suite and
+// an untuned model to validate over it.
+func smallFixture(t *testing.T) (*tune.Testbench, *core.Model, []workloads.Kernel) {
+	t.Helper()
 	arch := config.Volta()
 	sc := ubench.Scale{Iters: 2, Unroll: 1, WarpsPerCTA: 2}
 	tb, err := tune.NewTestbench(arch, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := &countingMeter{Meter: tb.Device, runs: map[string]int{}}
-	tb.UseMeter(cm, tune.DefaultMeterPolicy())
-
 	model := &core.Model{
 		Arch:         arch,
 		BaseEnergyPJ: core.InitialEnergiesPJ(),
@@ -169,13 +169,21 @@ func TestValidateAllMeasuresEachKernelOnce(t *testing.T) {
 	for i := range model.Scale {
 		model.Scale[i] = 1
 	}
-	tuned := &tune.Result{}
-	for _, v := range tune.Variants() {
-		tuned.Models[v] = model
-	}
 	suite, err := workloads.ValidationSuite(arch, sc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return tb, model, suite
+}
+
+func TestValidateAllMeasuresEachKernelOnce(t *testing.T) {
+	tb, model, suite := smallFixture(t)
+	cm := &countingMeter{Meter: tb.Device, runs: map[string]int{}}
+	tb.UseMeter(cm, tune.DefaultMeterPolicy())
+
+	tuned := &tune.Result{}
+	for _, v := range tune.Variants() {
+		tuned.Models[v] = model
 	}
 	all, err := ValidateAllExec(tb.Sequential(), tuned, suite)
 	if err != nil {
@@ -191,6 +199,47 @@ func TestValidateAllMeasuresEachKernelOnce(t *testing.T) {
 		if n != 1 {
 			t.Errorf("kernel %s measured %d times across variants, want exactly 1", name, n)
 		}
+	}
+}
+
+// A labelled validation (a case-study model, or the GPUWattch baseline)
+// returns its own result but leaves the eval gauges and counters at the
+// session's values: the session's MAPE, component watts and kernel count.
+func TestLabelledValidationLeavesSessionGauges(t *testing.T) {
+	tb, model, suite := smallFixture(t)
+	ex := tb.Sequential()
+	session, err := ValidateExec(ex, model, tune.SASSSIM, suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := tune.SASSSIM.String()
+	mape, constW := mMAPE.With(v), mComponentW.With(core.CompConst.String(), v)
+	kernels, errs := mKernels.With(v), mAbsErrPct.With(v)
+	if mape.Value() != session.MAPE {
+		t.Fatalf("session validation set the MAPE gauge to %v, want %v", mape.Value(), session.MAPE)
+	}
+	wantConst, wantKernels, wantErrs := constW.Value(), kernels.Value(), errs.Count()
+
+	other := *model
+	other.ConstW = 300
+	labelled, err := validate(ex, &other, "other", tune.SASSSIM, suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if labelled.MAPE == session.MAPE {
+		t.Fatal("the labelled model validated to the session's MAPE; the fixture shows nothing")
+	}
+	if got := mape.Value(); got != session.MAPE {
+		t.Errorf("MAPE gauge %v after a labelled validation, want the session's %v", got, session.MAPE)
+	}
+	if got := constW.Value(); got != wantConst {
+		t.Errorf("constant-power gauge %v after a labelled validation, want the session's %v", got, wantConst)
+	}
+	if got := kernels.Value(); got != wantKernels {
+		t.Errorf("kernel counter %v after a labelled validation, want the session's %v", got, wantKernels)
+	}
+	if got := errs.Count(); got != wantErrs {
+		t.Errorf("error histogram holds %d observations after a labelled validation, want %d", got, wantErrs)
 	}
 }
 

@@ -114,7 +114,9 @@ func ValidateExec(ex *tune.Exec, model *core.Model, v tune.Variant, suite []work
 // other than the session's own tuned one (a case study's target
 // architecture, or "gpuwattch") and goes into the detail of every
 // breakdown event, so a ledger keeps each model's rows apart. The session's
-// own model has no label.
+// own model has no label, and only its validations update the aw_eval_*
+// and aw_component_power_watts series: a labelled run would overwrite
+// them with another model's numbers.
 func validate(ex *tune.Exec, model *core.Model, label string, v tune.Variant, suite []workloads.Kernel) (*ValidationResult, error) {
 	sp := ex.StageSpan("eval/validate").WithDetail(v.String())
 	defer sp.End()
@@ -133,8 +135,12 @@ func validate(ex *tune.Exec, model *core.Model, label string, v tune.Variant, su
 
 	tb := ex.TB()
 	res := &ValidationResult{Variant: v}
-	kernelsDone := mKernels.With(v.String())
-	errHist := mAbsErrPct.With(v.String())
+	var kernelsDone *obs.Counter // nil handles are no-ops
+	var errHist *obs.Histogram
+	if label == "" {
+		kernelsDone = mKernels.With(v.String())
+		errHist = mAbsErrPct.With(v.String())
+	}
 	led := obs.ActiveLedger()
 	if err := model.Validate(); err != nil {
 		return nil, fmt.Errorf("eval: variant %v: %w", v, err)
@@ -193,9 +199,6 @@ func validate(ex *tune.Exec, model *core.Model, label string, v tune.Variant, su
 	if len(meas) == 0 {
 		return nil, fmt.Errorf("eval: empty suite for variant %v", v)
 	}
-	for c := 0; c < core.NumComponents; c++ {
-		mComponentW.With(core.Component(c).String(), v.String()).Set(compSum[c] / float64(len(meas)))
-	}
 	res.MAPE, res.CI95, err = stats.MAPEWithCI(meas, est)
 	if err != nil {
 		return nil, err
@@ -206,7 +209,12 @@ func validate(ex *tune.Exec, model *core.Model, label string, v tune.Variant, su
 	if res.Pearson, err = stats.Pearson(meas, est); err != nil {
 		return nil, err
 	}
-	mMAPE.With(v.String()).Set(res.MAPE)
+	if label == "" {
+		for c := 0; c < core.NumComponents; c++ {
+			mComponentW.With(core.Component(c).String(), v.String()).Set(compSum[c] / float64(len(meas)))
+		}
+		mMAPE.With(v.String()).Set(res.MAPE)
+	}
 	return res, nil
 }
 

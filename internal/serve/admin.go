@@ -12,8 +12,9 @@ import (
 
 // The admin surface: GET /models lists the registry, PUT /models/{name}
 // hot-adds or replaces an entry, DELETE /models/{name} retires one — all
-// under load, without draining. Installs build off the registry lock and
-// swap atomically; in-flight requests hold the unit they resolved, so an
+// under load, without draining. An install builds its entry off the
+// registry lock, then checks the cap and swaps it in under one critical
+// section (AddEntry); in-flight requests hold the unit they resolved, so an
 // admin operation changes zero responses already in progress.
 
 // ModelSummary is one registry entry in the admin listing (and the PUT
@@ -195,11 +196,7 @@ func (s *Server) buildAdminEntry(name string, body []byte) (*zoo.Entry, error) {
 		if base == nil {
 			return nil, statusErrorf(404, "serve: derive base %q is not a registered model", spec.Derive.From)
 		}
-		arch, err := zoo.ResolveArch(spec.Derive.Arch)
-		if err != nil {
-			return nil, statusErrorf(400, "%v", err)
-		}
-		e, err := zoo.Derive(name, base, arch, spec.Derive.ConstMult)
+		e, err := spec.Derive.Apply(name, base)
 		if err != nil {
 			return nil, statusErrorf(400, "%v", err)
 		}

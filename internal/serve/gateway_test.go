@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"accelwattch/internal/config"
+	"accelwattch/internal/core"
 	"accelwattch/internal/tune"
 	"accelwattch/internal/zoo"
 )
@@ -390,6 +392,7 @@ func TestAdminPutRawModelAndGuard(t *testing.T) {
 		{"both model and derive", "/models/x2", []byte(`{"model":{},"derive":{"from":"volta-base","arch":"pascal"}}`), 400},
 		{"unknown derive base", "/models/x3", []byte(`{"derive":{"from":"nope","arch":"pascal"}}`), 404},
 		{"unknown derive arch", "/models/x4", []byte(`{"derive":{"from":"volta-base","arch":"ampere"}}`), 400},
+		{"negative const_mult", "/models/x6", []byte(`{"derive":{"from":"volta-base","arch":"turing","const_mult":-3}}`), 400},
 		{"malformed json", "/models/x5", []byte(`{`), 400},
 	} {
 		if code, resp := putJSON(t, ts, tc.path, tc.body); code != tc.code {
@@ -438,8 +441,8 @@ func TestAdminPutWhileDraining(t *testing.T) {
 }
 
 // Hot add and retire under concurrent load: in-flight responses never
-// change, and /readyz never flips for unaffected models — including while
-// an install is visibly in the "deriving" state.
+// change, and /readyz never flips for unaffected models while entries come
+// and go.
 func TestHotSwapUnderLoad(t *testing.T) {
 	s, ts := newZooServer(t, Config{Workers: 4, CacheSize: 64})
 
@@ -449,35 +452,42 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// While the install is mid-flight (state "deriving"), unaffected
-	// models keep serving and /readyz stays ok.
-	s.testHookAdmin = func(name string) {
-		code, got := post(t, ts, "/estimate", body)
-		if code != http.StatusOK || !bytes.Equal(got, want) {
-			t.Errorf("turing request during %s install: %d %s", name, code, got)
-		}
+	// One goroutine polls /readyz through the churn; the others send
+	// estimates routed to an unaffected model.
+	readyz := func() bool {
 		r, err := http.Get(ts.URL + "/readyz")
 		if err != nil {
 			t.Error(err)
-			return
+			return false
 		}
 		defer r.Body.Close()
 		lines, _ := io.ReadAll(r.Body)
 		if r.StatusCode != http.StatusOK {
-			t.Errorf("/readyz flipped to %d during install", r.StatusCode)
+			t.Errorf("/readyz flipped to %d during admin churn", r.StatusCode)
+			return false
 		}
-		text := string(lines)
-		if !strings.Contains(text, "model turing-derived: ready") {
-			t.Errorf("unaffected model not ready during install:\n%s", text)
+		if !strings.Contains(string(lines), "model turing-derived: ready") {
+			t.Errorf("unaffected model not ready during admin churn:\n%s", lines)
+			return false
 		}
-		if !strings.Contains(text, name+": deriving") {
-			t.Errorf("installing model not visible as deriving:\n%s", text)
+		return true
+	}
+	estimate := func() bool {
+		code, got := post(t, ts, "/estimate", body)
+		if code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("in-flight response changed under admin churn: %d %s", code, got)
+			return false
 		}
+		return true
 	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
+		check := estimate
+		if g == 0 {
+			check = readyz
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -487,9 +497,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				code, got := post(t, ts, "/estimate", body)
-				if code != http.StatusOK || !bytes.Equal(got, want) {
-					t.Errorf("in-flight response changed under admin churn: %d %s", code, got)
+				if !check() {
 					return
 				}
 			}
@@ -507,6 +515,143 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// Installs racing for the last free slots: 16 concurrent installs of new
+// names into a registry two short of the cap. Exactly two land, the rest
+// answer 409, and the registry never holds more than maxModels live
+// entries. Each round then retires what landed, so the next round races
+// for the same two slots.
+func TestAdminCapUnderConcurrentInstalls(t *testing.T) {
+	s, _ := newZooServer(t, Config{})
+	base := s.Entry("volta-base")
+	derive := func(name string) *zoo.Entry {
+		e, err := zoo.Derive(name, base, config.Pascal(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	for i := len(s.Summaries()); i < maxModels-2; i++ {
+		if err := s.AddEntry(derive(fmt.Sprintf("fill-%02d", i))); err != nil {
+			t.Fatalf("filling entry %d: %v", i, err)
+		}
+	}
+	live := func() (n int) {
+		for _, sum := range s.Summaries() {
+			if sum.State == StateReady {
+				n++
+			}
+		}
+		return n
+	}
+	const racers = 16
+	for round := 0; round < 20; round++ {
+		entries := make([]*zoo.Entry, racers)
+		for i := range entries {
+			entries[i] = derive(fmt.Sprintf("race-%02d-%02d", round, i))
+		}
+		start := make(chan struct{})
+		errs := make([]error, racers)
+		var wg sync.WaitGroup
+		for i := range entries {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[i] = s.AddEntry(entries[i])
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if n := live(); n > maxModels {
+			t.Fatalf("round %d: %d live entries, cap is %d", round, n, maxModels)
+		}
+		var landed []string
+		for i, err := range errs {
+			var se *statusError
+			switch {
+			case err == nil:
+				landed = append(landed, entries[i].Name)
+			case !errors.As(err, &se) || se.code != http.StatusConflict:
+				t.Fatalf("round %d: install %d failed with %v, want 409", round, i, err)
+			}
+		}
+		if len(landed) != 2 {
+			t.Fatalf("round %d: %d installs landed (%v), want the 2 free slots filled", round, len(landed), landed)
+		}
+		for _, name := range landed {
+			if err := s.Retire(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// Every name config.ByName accepts — family, full and chip — works on
+// every path that takes an architecture: request routing (alone and as a
+// cross-check beside "model"), the admin derive PUT, and manifest derive
+// and tune entries (through a stub tuner that resolves the alias the way
+// cli.TuneModels does).
+func TestEveryArchAliasWorks(t *testing.T) {
+	s, ts := newZooServer(t, Config{})
+	entryFor := map[string]string{
+		"volta-gv100": "volta-base", "pascal-titanx": "pascal-derived", "turing-rtx2060s": "turing-derived",
+	}
+	stub := func(alias string, _ bool) (map[tune.Variant]*core.Model, string, error) {
+		arch, err := config.ByName(alias)
+		if err != nil {
+			return nil, "", err
+		}
+		m, _, err := testModel().Derive(arch, 1)
+		return map[tune.Variant]*core.Model{tune.SASSSIM: m}, "tuned:stub", err
+	}
+	for i, c := range []struct{ alias, full string }{
+		{"volta", "volta-gv100"}, {"volta-gv100", "volta-gv100"}, {"gv100", "volta-gv100"},
+		{"pascal", "pascal-titanx"}, {"pascal-titanx", "pascal-titanx"}, {"titanx", "pascal-titanx"},
+		{"turing", "turing-rtx2060s"}, {"turing-rtx2060s", "turing-rtx2060s"}, {"rtx2060s", "turing-rtx2060s"},
+	} {
+		t.Run(c.alias, func(t *testing.T) {
+			entry := entryFor[c.full]
+			want, err := EstimateOnce(s.Entry(entry).Model(tune.SASSSIM), routedBody(i, ``))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, route := range []string{
+				fmt.Sprintf(`"arch":%q,`, c.alias),
+				fmt.Sprintf(`"model":%q,"arch":%q,`, entry, c.alias),
+			} {
+				code, got := post(t, ts, "/estimate", routedBody(i, route))
+				if code != http.StatusOK || !bytes.Equal(got, want) {
+					t.Errorf("routed by {%s}: %d %s, want %s's answer", route, code, got, entry)
+				}
+			}
+
+			name := "admin-" + c.alias
+			code, resp := putJSON(t, ts, "/models/"+name,
+				fmt.Appendf(nil, `{"derive":{"from":"volta-base","arch":%q}}`, c.alias))
+			var sum ModelSummary
+			if code != http.StatusOK || json.Unmarshal(resp, &sum) != nil || sum.Arch != c.full {
+				t.Errorf("admin derive onto %q: %d %s, want an entry on %s", c.alias, code, resp, c.full)
+			} else if code, resp := del(t, ts, "/models/"+name); code != http.StatusOK {
+				t.Fatalf("retire %s: %d %s", name, code, resp)
+			}
+
+			set, err := zoo.Build(&zoo.Manifest{Models: []zoo.ManifestEntry{
+				{Name: "volta", Tune: &zoo.TuneSpec{Arch: "volta"}},
+				{Name: "tuned", Tune: &zoo.TuneSpec{Arch: c.alias}},
+				{Name: "derived", Derive: &zoo.DeriveSpec{From: "volta", Arch: c.alias}},
+			}}, zoo.BuildOptions{Tune: stub})
+			if err != nil {
+				t.Fatalf("manifest with arch %q: %v", c.alias, err)
+			}
+			for _, name := range []string{"tuned", "derived"} {
+				if got := set.Get(name).Arch; got != c.full {
+					t.Errorf("manifest %s entry onto %q targets %s, want %s", name, c.alias, got, c.full)
+				}
+			}
+		})
+	}
 }
 
 func TestHealthEndpointsPerModel(t *testing.T) {

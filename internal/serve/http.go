@@ -248,9 +248,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is the load-balancer gate: ready until drain begins. The
-// lines after the first report per-model readiness; a model mid-derivation
-// or retired never flips overall readiness, because every other entry keeps
-// answering (and a replacement's old unit serves until the swap).
+// lines after the first report per-model readiness; a retired model never
+// flips overall readiness, because every other entry keeps answering (and a
+// replacement's old unit serves until the swap).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		httpError(w, http.StatusServiceUnavailable, "draining")

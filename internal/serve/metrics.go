@@ -32,7 +32,7 @@ var (
 	mModels = obs.Default().Gauge("aw_serve_models",
 		"Live (non-retired) models in the serving registry.")
 	mModelState = obs.Default().GaugeVec("aw_serve_model_state",
-		"Per-model readiness: 0 deriving, 1 ready, 2 retired.", "model")
+		"Per-model readiness: 1 ready, 2 retired.", "model")
 	mVariantMismatch = obs.Default().CounterVec("aw_serve_variant_mismatch_total",
 		"Estimates answered by a model under a variant other than the one it records being tuned for.", "model")
 	mAdminOps = obs.Default().CounterVec("aw_serve_admin_total",

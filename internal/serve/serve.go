@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"accelwattch/internal/attr"
+	"accelwattch/internal/config"
 	"accelwattch/internal/core"
 	"accelwattch/internal/eval"
 	"accelwattch/internal/obs"
@@ -69,9 +70,8 @@ const (
 
 // Model readiness states reported per entry by /healthz and /readyz.
 const (
-	StateReady    = "ready"    // installed and serving
-	StateDeriving = "deriving" // admin build in progress (replacements keep serving the old model)
-	StateRetired  = "retired"  // removed; in-flight requests finished on the old model
+	StateReady   = "ready"   // installed and serving
+	StateRetired = "retired" // removed; in-flight requests finished on the old model
 )
 
 // Sentinel errors mapped to HTTP statuses by the handlers.
@@ -120,9 +120,20 @@ type unit struct {
 	mismatch          [tune.NumVariants]*obs.Counter
 }
 
-func newUnit(e *zoo.Entry, cacheSize int) *unit {
+// fingerprints hashes the model of every variant e serves. It is the
+// costly part of building a unit, so AddEntry runs it before taking the
+// registry lock.
+func fingerprints(e *zoo.Entry) (fps [tune.NumVariants]string) {
+	for _, v := range e.Variants() {
+		fps[v] = e.Fingerprint(v)
+	}
+	return fps
+}
+
+// newUnit builds a serving unit over e and resolves its metric series.
+func newUnit(e *zoo.Entry, fps [tune.NumVariants]string, cacheSize int) *unit {
 	name := e.Name
-	u := &unit{entry: e, energy: mEnergy.Handle(name)}
+	u := &unit{entry: e, fps: fps, energy: mEnergy.Handle(name)}
 	if cacheSize > 0 {
 		u.cache = newLRUCache(cacheSize, mCacheEvents.With(name, "eviction"))
 		u.hit = mCacheEvents.With(name, "hit")
@@ -131,7 +142,6 @@ func newUnit(e *zoo.Entry, cacheSize int) *unit {
 		u.bypass = mCacheEvents.With(name, "bypass")
 	}
 	for _, v := range e.Variants() {
-		u.fps[v] = e.Fingerprint(v)
 		u.estimates[v] = mEstimates.With(name, v.String())
 		if _, mismatch := e.TunedVariantMismatch(v); mismatch {
 			u.mismatch[v] = mVariantMismatch.With(name)
@@ -177,11 +187,6 @@ type Server struct {
 	// backpressure, deadline, cancel, and drain paths deterministically.
 	// Always nil in production.
 	testHookCompute func()
-
-	// testHookAdmin, when non-nil, runs inside admin installs between the
-	// "deriving" state flip and the unit swap, so tests can observe the
-	// transitional state deterministically. Always nil in production.
-	testHookAdmin func(name string)
 }
 
 // New builds a gateway over cfg.Zoo.
@@ -205,7 +210,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: %d models configured, cap is %d", len(set.Entries), maxModels)
 	}
 	for _, e := range set.Entries {
-		s.units[e.Name] = newUnit(e, s.cacheSize)
+		s.units[e.Name] = newUnit(e, fingerprints(e), s.cacheSize)
 		s.states[e.Name] = StateReady
 		s.order = append(s.order, e.Name)
 		mModelState.With(e.Name).Set(stateValue(StateReady))
@@ -227,16 +232,12 @@ func New(cfg Config) (*Server, error) {
 }
 
 // stateValue encodes a readiness state as the aw_serve_model_state gauge
-// value: 0 deriving, 1 ready, 2 retired.
+// value: 1 ready, 2 retired.
 func stateValue(state string) float64 {
-	switch state {
-	case StateDeriving:
-		return 0
-	case StateReady:
+	if state == StateReady {
 		return 1
-	default:
-		return 2
 	}
+	return 2
 }
 
 // DefaultName returns the entry requests without a routing field resolve to.
@@ -244,17 +245,6 @@ func (s *Server) DefaultName() string {
 	s.umu.RLock()
 	defer s.umu.RUnlock()
 	return s.defaultName
-}
-
-// Model returns the default entry's served model for a variant (nil when
-// not configured) — the single-model accessor the pre-gateway server had.
-func (s *Server) Model(v tune.Variant) *core.Model {
-	s.umu.RLock()
-	defer s.umu.RUnlock()
-	if u := s.units[s.defaultName]; u != nil {
-		return u.entry.Model(v)
-	}
-	return nil
 }
 
 // Entry returns the zoo entry registered under name ("" = default), or nil.
@@ -271,10 +261,14 @@ func (s *Server) Entry(name string) *zoo.Entry {
 }
 
 // resolveUnit routes a request to a serving unit: by entry name, by
-// architecture alias, or to the default when neither is given. Resolution
-// takes the registry read lock once; the returned unit is immutable, so a
-// concurrent hot swap or retire cannot change this request's model.
+// architecture alias (any name config.FullName accepts), or to the default
+// when neither is given. Resolution takes the registry read lock once; the
+// returned unit is immutable, so a concurrent hot swap or retire cannot
+// change this request's model.
 func (s *Server) resolveUnit(model, arch string) (*unit, error) {
+	// An unknown alias matches no entry: full stays "", and every entry
+	// names its architecture.
+	full, _ := config.FullName(arch)
 	s.umu.RLock()
 	defer s.umu.RUnlock()
 	if model == "" && arch == "" {
@@ -291,14 +285,14 @@ func (s *Server) resolveUnit(model, arch string) (*unit, error) {
 			}
 			return nil, statusErrorf(404, "serve: unknown model %q", model)
 		}
-		if arch != "" && !zoo.ArchMatches(arch, u.entry.Arch) {
+		if arch != "" && u.entry.Arch != full {
 			return nil, statusErrorf(400, "serve: model %q serves arch %s, not %q", model, u.entry.Arch, arch)
 		}
 		return u, nil
 	}
 	var hits []string
 	for _, name := range s.order {
-		if u, ok := s.units[name]; ok && zoo.ArchMatches(arch, u.entry.Arch) {
+		if u, ok := s.units[name]; ok && u.entry.Arch == full {
 			hits = append(hits, name)
 		}
 	}
@@ -313,10 +307,12 @@ func (s *Server) resolveUnit(model, arch string) (*unit, error) {
 }
 
 // AddEntry installs (or hot-swaps) a zoo entry as a serving unit without
-// draining: the new unit is built off-lock, then swapped into the registry
-// under the write lock. Requests that already resolved the old unit finish
-// on it — zero in-flight responses change — and requests arriving after the
-// swap see the new model. The transitional state is visible as "deriving".
+// draining. The model fingerprints are hashed first; then one critical
+// section checks the registry cap, builds the unit with its metric series
+// and cache, and swaps it in, so concurrent installs cannot overshoot the
+// cap and a refused install resolves no series. Requests that already
+// resolved the old unit finish on it — zero in-flight responses change —
+// and requests arriving after the swap see the new model.
 func (s *Server) AddEntry(e *zoo.Entry) error {
 	if e == nil {
 		return statusErrorf(400, "serve: nil entry")
@@ -327,47 +323,23 @@ func (s *Server) AddEntry(e *zoo.Entry) error {
 	if s.Draining() {
 		return errDraining
 	}
-	s.umu.Lock()
-	_, replacing := s.units[e.Name]
-	if !replacing && len(s.units) >= maxModels {
-		s.umu.Unlock()
-		return statusErrorf(409, "serve: model registry is full (%d entries); retire one first", maxModels)
-	}
-	s.states[e.Name] = StateDeriving
-	// List the name immediately so /healthz and /readyz report the install
-	// in its transitional "deriving" state, not only after it lands.
-	if !s.listedLocked(e.Name) {
-		s.order = append(s.order, e.Name)
-	}
-	mModelState.With(e.Name).Set(stateValue(StateDeriving))
-	s.umu.Unlock()
-
-	if s.testHookAdmin != nil {
-		s.testHookAdmin(e.Name)
-	}
-	u := newUnit(e, s.cacheSize)
-
+	fps := fingerprints(e)
 	s.umu.Lock()
 	defer s.umu.Unlock()
-	s.units[e.Name] = u
-	s.states[e.Name] = StateReady
-	if !s.listedLocked(e.Name) {
+	_, replacing := s.units[e.Name]
+	if !replacing && len(s.units) >= maxModels {
+		return statusErrorf(409, "serve: model registry is full (%d entries); retire one first", maxModels)
+	}
+	// states holds exactly the names in order: live entries and the
+	// retired tombstones not yet pruned.
+	if _, listed := s.states[e.Name]; !listed {
 		s.order = append(s.order, e.Name)
 	}
+	s.units[e.Name] = newUnit(e, fps, s.cacheSize)
+	s.states[e.Name] = StateReady
 	mModelState.With(e.Name).Set(stateValue(StateReady))
 	mModels.Set(float64(len(s.units)))
 	return nil
-}
-
-// listedLocked reports whether name appears in the registration order.
-// Caller holds umu.
-func (s *Server) listedLocked(name string) bool {
-	for _, n := range s.order {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Retire removes a model from the registry under load: requests that

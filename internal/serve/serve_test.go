@@ -309,7 +309,7 @@ func TestEstimateMatchesSingleShot(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, got)
 	}
-	want, err := EstimateOnce(s.Model(tune.SASSSIM), body)
+	want, err := EstimateOnce(s.Entry("").Model(tune.SASSSIM), body)
 	if err != nil {
 		t.Fatalf("EstimateOnce: %v", err)
 	}
@@ -341,7 +341,7 @@ func TestSweepMatchesSingleShot(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, got)
 	}
-	want, err := SweepOnce(s.Model(tune.HW), body)
+	want, err := SweepOnce(s.Entry("").Model(tune.HW), body)
 	if err != nil {
 		t.Fatalf("SweepOnce: %v", err)
 	}

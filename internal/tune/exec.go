@@ -8,8 +8,8 @@ import (
 	"accelwattch/internal/silicon"
 )
 
-// Exec is a testbench bound to an execution context: a worker pool of
-// testbench replicas plus a cancellation context. Every tuning and
+// Exec is a testbench bound to an execution engine: a worker pool of
+// testbench replicas. Every tuning and
 // evaluation stage is a map then a fold. The map fans the stage's
 // measurements out across the pool (Map, MeasureAll) and returns what they
 // computed in input order; the fold is the stage's sequential fitting
@@ -17,7 +17,6 @@ import (
 // quarantine and abort decision in input order — which is what makes a
 // parallel run bit-identical to a sequential one at any worker count.
 type Exec struct {
-	ctx  context.Context
 	pool *engine.Pool[*Testbench]
 
 	// span, when set via WithSpan, is the parent (typically the session
@@ -26,15 +25,12 @@ type Exec struct {
 }
 
 // NewExec builds an execution engine over tb with the given worker count
-// (values < 1 mean 1). A nil ctx means context.Background(). Workers beyond
-// the first get replicas of tb via Testbench.Replicate; call it after
-// UseMeter so replicas wrap the installed meter. Each replica is stamped
-// with its pool index (tb itself is worker 0) so measurement spans land on
-// per-worker trace tracks.
-func NewExec(ctx context.Context, tb *Testbench, workers int) (*Exec, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// (values < 1 mean 1). Workers beyond the first get replicas of tb via
+// Testbench.Replicate; call it after UseMeter so replicas wrap the
+// installed meter. Each replica is stamped with its pool index (tb itself
+// is worker 0) so measurement spans land on per-worker trace tracks. The
+// context is not read: nothing cancels a pipeline.
+func NewExec(_ context.Context, tb *Testbench, workers int) (*Exec, error) {
 	next := 0
 	pool, err := engine.NewPool(tb, workers, func() (*Testbench, error) {
 		r := tb.Replicate()
@@ -45,13 +41,13 @@ func NewExec(ctx context.Context, tb *Testbench, workers int) (*Exec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Exec{ctx: ctx, pool: pool}, nil
+	return &Exec{pool: pool}, nil
 }
 
 // Sequential wraps the testbench in a single-worker engine, the drop-in
 // equivalent of the historical direct-call path.
 func (tb *Testbench) Sequential() *Exec {
-	return &Exec{ctx: context.Background(), pool: engine.PoolOf(tb)}
+	return &Exec{pool: engine.PoolOf(tb)}
 }
 
 // WithSpan parents all stage spans this engine opens under sp — callers
@@ -78,9 +74,7 @@ func (ex *Exec) TB() *Testbench { return ex.pool.Primary() }
 // order and the reported error on failure is the lowest-index one — exactly
 // what a sequential loop over items would produce.
 func Map[T, V any](ex *Exec, items []T, fn func(*Testbench, T) (V, error)) ([]V, error) {
-	return engine.Map(ex.ctx, ex.pool, items, func(_ context.Context, tb *Testbench, it T) (V, error) {
-		return fn(tb, it)
-	})
+	return engine.Map(ex.pool, items, fn)
 }
 
 // Point is one operating point: a workload at a core clock in MHz (0 means

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"accelwattch/internal/config"
 	"accelwattch/internal/core"
 	"accelwattch/internal/tune"
 )
@@ -54,16 +55,30 @@ type ManifestEntry struct {
 
 // TuneSpec selects the tuning flow for a manifest entry.
 type TuneSpec struct {
+	// Arch names the architecture by any alias config.ByName accepts.
 	Arch string `json:"arch"`
 	Full bool   `json:"full,omitempty"`
 }
 
-// DeriveSpec is the Section 7.1 transform as manifest configuration.
+// DeriveSpec is the Section 7.1 transform as configuration: a manifest
+// derive entry, or the body of an admin derive PUT.
 type DeriveSpec struct {
 	From string `json:"from"`
+	// Arch names the target by any alias config.ByName accepts.
 	Arch string `json:"arch"`
-	// ConstMult <= 0 (or omitted) selects DefaultConstMult for the target.
+	// ConstMult 0 (or omitted) selects core.DefaultConstMult for the
+	// target. Any other value must be positive and finite.
 	ConstMult float64 `json:"const_mult,omitempty"`
+}
+
+// Apply derives the entry name from base, the entry d.From names, onto
+// the target d.Arch.
+func (d *DeriveSpec) Apply(name string, base *Entry) (*Entry, error) {
+	arch, err := config.ByName(d.Arch)
+	if err != nil {
+		return nil, err
+	}
+	return Derive(name, base, arch, d.ConstMult)
 }
 
 // LoadManifest reads and validates a manifest file (structure only; sources
@@ -192,7 +207,7 @@ func Build(m *Manifest, opts BuildOptions) (*Set, error) {
 		case me.File != "":
 			e, err = buildFileEntry(me, opts.Dir, warn)
 		case me.Derive != nil:
-			e, err = buildDeriveEntry(me, byName[me.Derive.From])
+			e, err = me.Derive.Apply(me.Name, byName[me.Derive.From])
 		}
 		if err != nil {
 			return nil, fmt.Errorf("zoo: building entry %q: %w", me.Name, err)
@@ -232,15 +247,4 @@ func buildFileEntry(me *ManifestEntry, dir string, warn func(string, ...any)) (*
 			me.Name, me.File, model.TunedVariant)
 	}
 	return e, nil
-}
-
-func buildDeriveEntry(me *ManifestEntry, base *Entry) (*Entry, error) {
-	if base == nil {
-		return nil, fmt.Errorf("base entry %q not built", me.Derive.From)
-	}
-	arch, err := ResolveArch(me.Derive.Arch)
-	if err != nil {
-		return nil, err
-	}
-	return Derive(me.Name, base, arch, me.Derive.ConstMult)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"accelwattch/internal/config"
 	"accelwattch/internal/core"
 	"accelwattch/internal/tune"
 )
@@ -48,7 +49,7 @@ func FuzzManifest(f *testing.F) {
 			}
 		}
 		stub := func(archAlias string, full bool) (map[tune.Variant]*core.Model, string, error) {
-			arch, err := ResolveArch(archAlias)
+			arch, err := config.ByName(archAlias)
 			if err != nil {
 				return nil, "", err
 			}

@@ -191,6 +191,17 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(m, BuildOptions{}); err == nil {
 		t.Fatal("Build accepted an empty manifest")
 	}
+	// Only an omitted (zero) const_mult selects the default; a negative
+	// one is an error, not a silent x1.7.
+	dir := t.TempDir()
+	saveTestModel(t, dir, "volta.json", "")
+	m = &Manifest{Models: []ManifestEntry{
+		{Name: "v", File: "volta.json"},
+		{Name: "t", Derive: &DeriveSpec{From: "v", Arch: "turing", ConstMult: -3}},
+	}}
+	if set, err := Build(m, BuildOptions{Dir: dir}); err == nil {
+		t.Fatalf("Build accepted const_mult -3 (entry const mult %v)", set.Get("t").Derived.ConstMult)
+	}
 }
 
 func TestLoadManifest(t *testing.T) {

@@ -220,20 +220,11 @@ func PerVariant(name string, models map[tune.Variant]*core.Model, source string)
 	return e, nil
 }
 
-// DefaultConstMult returns the Section 7.1 constant-power adjustment for a
-// target architecture: 1.7 for Turing's consumer board (fans, peripheral
-// circuitry), 1.0 otherwise.
-func DefaultConstMult(arch *config.Arch) float64 {
-	if arch != nil && arch.Name == "turing-rtx2060s" {
-		return 1.7
-	}
-	return 1.0
-}
-
 // Derive builds a derived entry from a base entry: every variant the base
 // serves is retargeted to arch through core.Model.Derive, and the entry
-// records the transform as provenance. constMult <= 0 selects
-// DefaultConstMult(arch).
+// records the transform as provenance. constMult 0 selects
+// core.DefaultConstMult(arch); core.Model.Derive rejects any other value
+// that is not positive and finite.
 func Derive(name string, base *Entry, arch *config.Arch, constMult float64) (*Entry, error) {
 	if base == nil {
 		return nil, fmt.Errorf("zoo: derive %s: nil base entry", name)
@@ -241,8 +232,8 @@ func Derive(name string, base *Entry, arch *config.Arch, constMult float64) (*En
 	if arch == nil {
 		return nil, fmt.Errorf("zoo: derive %s: nil target architecture", name)
 	}
-	if constMult <= 0 {
-		constMult = DefaultConstMult(arch)
+	if constMult == 0 {
+		constMult = core.DefaultConstMult(arch)
 	}
 	e := &Entry{Name: name, Arch: arch.Name, Source: "derived:" + base.Name, BaseName: base.Name}
 	var rec *core.Derivation
@@ -265,31 +256,6 @@ func Derive(name string, base *Entry, arch *config.Arch, constMult float64) (*En
 		return nil, err
 	}
 	return e, nil
-}
-
-// ResolveArch maps an architecture alias onto a stock configuration. It
-// accepts the full config name ("pascal-titanx") or the family shorthand
-// before the dash ("pascal"), matching the `-arch` flag vocabulary.
-func ResolveArch(alias string) (*config.Arch, error) {
-	for _, a := range []*config.Arch{config.Volta(), config.Pascal(), config.Turing()} {
-		if alias == a.Name || alias == archFamily(a.Name) {
-			return a, nil
-		}
-	}
-	return nil, fmt.Errorf("zoo: unknown architecture %q (want volta, pascal, turing, or a full config name)", alias)
-}
-
-// ArchMatches reports whether an alias ("pascal" or "pascal-titanx")
-// denotes the architecture named archName.
-func ArchMatches(alias, archName string) bool {
-	return alias == archName || alias == archFamily(archName)
-}
-
-func archFamily(name string) string {
-	if i := strings.IndexByte(name, '-'); i > 0 {
-		return name[:i]
-	}
-	return name
 }
 
 // Set is an ordered collection of entries with a designated default — what
