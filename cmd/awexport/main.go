@@ -17,9 +17,10 @@
 // without it the pipeline runs once and the final state stays up for
 // scraping. -once skips the HTTP server entirely and dumps the exposition
 // to stdout, which is what the golden CI check consumes. In serve mode,
-// SIGINT/SIGTERM drains the HTTP server, writes the -metrics-out snapshot,
-// and flushes the trace/ledger artifacts with run_end reason "sigterm"
-// before exiting.
+// SIGINT/SIGTERM stops through cli.Run.Serve: the HTTP server shuts down
+// within 5 s, without waiting for a pipeline run in flight, and the run
+// writes the -metrics-out snapshot and the trace/ledger artifacts with
+// run_end reason "sigterm" before exiting 0. A failed run writes them too.
 package main
 
 import (
@@ -29,11 +30,9 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"accelwattch"
@@ -78,24 +77,24 @@ func (st *state) index() string {
 		"/debug/pprof/  Go profiling endpoints\n", st.archName)
 }
 
-// shutdownFlush is the exporter's exit path, shared by -once and the signal
-// handler: write the final metrics snapshot and flush the run artifacts
-// (trace and ledger) with the given close reason. A scraped exporter killed
-// by its supervisor leaves its last telemetry behind instead of losing
-// everything since the previous scrape.
-func shutdownFlush(reg *obs.Registry, run *cli.Run, metricsOut, reason string) error {
-	var first error
-	if metricsOut != "" {
-		if err := reg.WriteJSONFile(metricsOut); err != nil {
-			first = err
-		} else {
-			run.Log.Info("wrote metrics snapshot", "path", metricsOut)
+// serve runs pipeline once, or every interval until ctx ends, while the
+// admin mux serves on addr. The stop does not wait for a run in flight.
+func serve(ctx context.Context, run *cli.Run, st *state, addr string, interval time.Duration, pipeline func()) {
+	go func() {
+		for {
+			start := time.Now()
+			pipeline()
+			if interval <= 0 {
+				return
+			}
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(interval - time.Since(start)):
+			}
 		}
-	}
-	if err := run.CloseReason(reason); err != nil && first == nil {
-		first = err
-	}
-	return first
+	}()
+	run.Serve(ctx, addr, cli.AdminMux(obs.Default(), st.serveHealth, st.index()), 5*time.Second, nil)
 }
 
 func main() {
@@ -130,6 +129,7 @@ func main() {
 		os.Exit(1)
 	}
 	run := cli.Start("awexport", arch.Name+" faults="+*faultName, *traceOut, *ledgerOut)
+	run.MetricsOut = *out
 	logger := run.Log
 
 	st := newState(arch.Name)
@@ -168,54 +168,14 @@ func main() {
 		if e := st.lastErr.Load().(string); e != "" {
 			run.Fatalf("pipeline failed: %s", e)
 		}
-		if err := shutdownFlush(reg, run, *out, "ok"); err != nil {
+		if err := run.Close(); err != nil {
 			logger.Error("writing artifacts", "err", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: cli.AdminMux(reg, st.serveHealth, st.index())}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	go func() {
-		for {
-			start := time.Now()
-			runOnce()
-			if *interval <= 0 {
-				return
-			}
-			if sleep := *interval - time.Since(start); sleep > 0 {
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(sleep):
-				}
-			}
-		}
-	}()
-
 	logger.Info("serving telemetry",
 		"arch", arch.Name, "addr", *addr, "workers", *workers, "faults", *faultName)
-	select {
-	case <-ctx.Done():
-		logger.Info("signal received; flushing telemetry")
-	case err := <-errc:
-		run.Fatalf("server exited: %v", err)
-	}
-	stopSignals()
-
-	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(sctx); err != nil {
-		logger.Error("http shutdown", "err", err)
-	}
-	if err := shutdownFlush(reg, run, *out, "sigterm"); err != nil {
-		logger.Error("writing artifacts", "err", err)
-		os.Exit(1)
-	}
+	serve(cli.SignalContext(), run, st, *addr, *interval, runOnce)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -155,18 +156,20 @@ func TestConcurrentScrapesDuringTune(t *testing.T) {
 	}
 }
 
-// TestShutdownFlush is the SIGTERM-path regression test: the shared exit
-// helper must settle the ledger to its JSONL artifact with run_end reason
-// "sigterm" and write the final metrics snapshot, so a supervisor-killed
-// exporter loses no telemetry.
+// TestShutdownFlush is the SIGTERM-path regression test, driven through
+// serve and the shared cli.Run.Serve lifecycle with a context the test
+// cancels while a pipeline run is in flight: the exporter must stop
+// without waiting for that run, settle the ledger to its JSONL artifact
+// with run_end reason "sigterm" and write the final metrics snapshot, so a
+// supervisor-killed exporter loses no telemetry.
 func TestShutdownFlush(t *testing.T) {
 	dir := t.TempDir()
 	ledgerPath := filepath.Join(dir, "ledger.jsonl")
 	metricsPath := filepath.Join(dir, "metrics.json")
 
 	run := cli.Start("awexport-test", "volta", "", ledgerPath)
-	reg := obs.Default()
-	reg.GaugeVec("aw_export_ready",
+	run.MetricsOut = metricsPath
+	obs.Default().GaugeVec("aw_export_ready",
 		"1 once the exporter's pipeline has completed at least one run.", "arch").With("volta").Set(1)
 	if led := obs.ActiveLedger(); led != nil {
 		led.Emit(obs.Event{Kind: obs.KindFit, Stage: "test", Detail: "pre-sigterm"})
@@ -174,29 +177,32 @@ func TestShutdownFlush(t *testing.T) {
 		t.Fatal("cli.Start did not install a ledger")
 	}
 
-	if err := shutdownFlush(reg, run, metricsPath, "sigterm"); err != nil {
-		t.Fatal(err)
-	}
+	// The pipeline run starts, the stop arrives, and the run never
+	// finishes before serve returns: serve must not wait for it.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	release := make(chan struct{})
+	defer close(release)
+	serve(ctx, run, newState("volta"), "127.0.0.1:0", 0, func() {
+		cancel()
+		<-release
+	})
 
 	evs, err := obs.ReadLedgerFile(ledgerPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sawNote bool
-	var end *obs.Event
-	for i, ev := range evs {
-		switch {
-		case ev.Kind == obs.KindFit && ev.Detail == "pre-sigterm":
+	for _, ev := range evs {
+		if ev.Kind == obs.KindFit && ev.Detail == "pre-sigterm" {
 			sawNote = true
-		case ev.Kind == obs.KindRunEnd:
-			end = &evs[i]
 		}
 	}
 	if !sawNote {
 		t.Fatal("pre-shutdown ledger event lost in flush")
 	}
-	if end == nil || end.Reason != "sigterm" {
-		t.Fatalf("run_end missing or wrong reason: %+v", end)
+	if end := evs[len(evs)-1]; end.Kind != obs.KindRunEnd || end.Reason != "sigterm" {
+		t.Fatalf("ledger ends with %+v, want run_end reason sigterm", end)
 	}
 
 	snap, err := os.ReadFile(metricsPath)

@@ -13,9 +13,11 @@
 // bit, at any -workers setting and under any -faults chaos profile. Tenant
 // metric series are capped at -max-tenant-series (beyond the cap, energy
 // is conserved on a shared overflow series) and retired tenants' labels
-// are garbage-collected from the exposition. SIGINT/SIGTERM settles every
-// tenant's partial attribution window into the ledger, writes the final
-// metrics snapshot, and flushes artifacts with run_end reason "sigterm".
+// are garbage-collected from the exposition. SIGINT/SIGTERM stops through
+// cli.Run.Serve: the sampling loop stops, every tenant's partial
+// attribution window settles into the ledger, and the run writes the final
+// metrics snapshot and its artifacts with run_end reason "sigterm" before
+// exiting 0.
 package main
 
 import (
@@ -25,11 +27,9 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"accelwattch/internal/attr"
@@ -104,27 +104,6 @@ func buildCollector(o options, reg *obs.Registry) (*attr.Collector, error) {
 	return attr.New(cfg)
 }
 
-// shutdownFlush is the daemon's exit path, shared by -once and the signal
-// handler: settle every tenant's partial attribution window into the
-// ledger, write the final metrics snapshot, and flush run artifacts with
-// the given close reason. Every integrated joule is accounted for before
-// the process exits.
-func shutdownFlush(c *attr.Collector, reg *obs.Registry, run *cli.Run, metricsOut, reason string) error {
-	c.Flush()
-	var first error
-	if metricsOut != "" {
-		if err := reg.WriteJSONFile(metricsOut); err != nil {
-			first = err
-		} else {
-			run.Log.Info("wrote metrics snapshot", "path", metricsOut)
-		}
-	}
-	if err := run.CloseReason(reason); err != nil && first == nil {
-		first = err
-	}
-	return first
-}
-
 // state is what /healthz reports; mirrored out of the collector after each
 // tick because the collector itself is single-goroutine.
 type state struct {
@@ -187,6 +166,7 @@ func main() {
 	run := cli.StartCapped("awmeterd",
 		fmt.Sprintf("%s tenants=%d faults=%s", *archName, *tenants, *faultName),
 		*traceOut, *ledgerOut, *ledgerCap)
+	run.MetricsOut = *out
 	reg := obs.Default()
 	obs.RegisterRuntimeMetrics(reg)
 
@@ -198,7 +178,8 @@ func main() {
 
 	if *once {
 		c.Run(*ticks)
-		if err := shutdownFlush(c, reg, run, *out, "ok"); err != nil {
+		c.Flush()
+		if err := run.Close(); err != nil {
 			run.Log.Error("flush", "err", err)
 			os.Exit(1)
 		}
@@ -209,29 +190,25 @@ func main() {
 		return
 	}
 
-	st := &state{archName: *archName, tenants: *tenants}
-	httpSrv := &http.Server{Addr: *addr, Handler: cli.AdminMux(reg, st.serveHealth, st.index())}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
+	run.Log.Info("attributing", "arch", *archName, "addr", *addr,
+		"tenants", *tenants, "workers", *workers, "faults", *faultName)
+	serve(cli.SignalContext(), run, c, &state{archName: *archName, tenants: *tenants}, *addr, *interval)
+}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+// serve ticks c every interval (0 free-runs) and serves the admin mux on
+// addr until ctx ends; its drain step stops the loop, then settles every
+// live tenant's partial window before the run writes its artifacts.
+func serve(ctx context.Context, run *cli.Run, c *attr.Collector, st *state, addr string, interval time.Duration) {
 	loopDone := make(chan struct{})
 	go func() {
 		defer close(loopDone)
 		var tickc <-chan time.Time
-		if *interval > 0 {
-			t := time.NewTicker(*interval)
+		if interval > 0 {
+			t := time.NewTicker(interval)
 			defer t.Stop()
 			tickc = t.C
 		}
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			default:
-			}
+		for ctx.Err() == nil {
 			if tickc != nil {
 				select {
 				case <-ctx.Done():
@@ -244,25 +221,10 @@ func main() {
 			st.live.Store(int64(c.Live()))
 		}
 	}()
-
-	run.Log.Info("attributing", "arch", *archName, "addr", *addr,
-		"tenants", *tenants, "workers", *workers, "faults", *faultName)
-	select {
-	case <-ctx.Done():
-		run.Log.Info("signal received; settling attribution windows")
-	case err := <-errc:
-		run.Fatal(err)
-	}
-	stop()
-	<-loopDone
-
-	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(sctx); err != nil {
-		run.Log.Error("http shutdown", "err", err)
-	}
-	if err := shutdownFlush(c, reg, run, *out, "sigterm"); err != nil {
-		run.Log.Error("writing artifacts", "err", err)
-		os.Exit(1)
-	}
+	run.Serve(ctx, addr, cli.AdminMux(obs.Default(), st.serveHealth, st.index()), 5*time.Second,
+		func(context.Context) error {
+			<-loopDone
+			c.Flush()
+			return nil
+		})
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"io"
 	"math"
 	"net/http"
@@ -23,53 +24,70 @@ func testOptions() options {
 	}
 }
 
-// The SIGTERM path settles every tenant's partial window into the ledger,
-// writes the metrics snapshot, and closes the run with reason "sigterm" —
-// the shutdown-flush regression test. Without the flush, a daemon killed
-// mid-window would lose every joule since the last window event.
+// The SIGTERM path, driven through serve and the shared cli.Run.Serve
+// lifecycle with a context the test cancels: the sampling loop stops, then
+// every tenant's partial window settles into the ledger, the metrics
+// snapshot is written and the run closes with reason "sigterm" — the
+// shutdown-flush regression test. Without the flush, a daemon killed
+// mid-window would lose every joule since the last window event; with a
+// flush that raced the loop, -race would report it.
 func TestShutdownFlush(t *testing.T) {
 	dir := t.TempDir()
 	ledgerPath := filepath.Join(dir, "ledger.jsonl")
 	metricsPath := filepath.Join(dir, "metrics.json")
 
 	run := cli.StartCapped("awmeterd-test", "volta", "", ledgerPath, 0)
-	reg := obs.Default()
-	c, err := buildCollector(testOptions(), reg)
+	run.MetricsOut = metricsPath
+	c, err := buildCollector(testOptions(), obs.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	c.Run(37) // window=0: nothing settled yet, all 37 ticks are in flight
 
-	if err := shutdownFlush(c, reg, run, metricsPath, "sigterm"); err != nil {
-		t.Fatal(err)
+	st := &state{archName: "volta", tenants: 12}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		// Free-running, so the loop is mid-tick when the stop arrives.
+		serve(ctx, run, c, st, "127.0.0.1:0", 0)
+	}()
+	// Let the loop tick past the 37 before the stop arrives.
+	deadline := time.Now().Add(10 * time.Second)
+	for st.ticks.Load() < 40 {
+		if time.Now().After(deadline) {
+			t.Fatalf("sampling loop reached %d ticks in 10 s, want 40", st.ticks.Load())
+		}
+		time.Sleep(time.Millisecond)
 	}
+	cancel()
+	<-done
+	ticks := c.Ticks()
 
 	evs, err := obs.ReadLedgerFile(ledgerPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var nrg int
-	var end *obs.Event
 	for i, ev := range evs {
-		switch ev.Kind {
-		case obs.KindEnergy:
-			nrg++
-			if ev.Ticks != 37 {
-				t.Fatalf("flush window covers %d ticks, want 37", ev.Ticks)
-			}
-			if math.Float64bits(ev.JoulesTotal) != math.Float64bits(ev.JoulesActive+ev.JoulesIdle) {
-				t.Fatalf("event %d: joules_total not bit-exactly active+idle", i)
-			}
-		case obs.KindRunEnd:
-			end = &evs[i]
+		if ev.Kind != obs.KindEnergy {
+			continue
+		}
+		nrg++
+		if ev.Ticks != ticks {
+			t.Fatalf("flush window covers %d ticks, want all %d", ev.Ticks, ticks)
+		}
+		if math.Float64bits(ev.JoulesTotal) != math.Float64bits(ev.JoulesActive+ev.JoulesIdle) {
+			t.Fatalf("event %d: joules_total not bit-exactly active+idle", i)
 		}
 	}
 	if nrg != 12 {
 		t.Fatalf("flushed %d energy events, want one per tenant (12)", nrg)
 	}
-	if end == nil || end.Reason != "sigterm" {
-		t.Fatalf("run_end missing or wrong reason: %+v", end)
+	if end := evs[len(evs)-1]; end.Kind != obs.KindRunEnd || end.Reason != "sigterm" {
+		t.Fatalf("ledger ends with %+v, want run_end reason sigterm", end)
 	}
 
 	snap, err := os.ReadFile(metricsPath)

@@ -1,7 +1,8 @@
 // Command awreport renders power-attribution reports: per-kernel tables of
 // which model components consumed the estimated watts, per variant. It
 // feeds on either a ledger artifact written by another command
-// (awtune/awvalidate/awexport -ledger-out) or a live run of the pipeline:
+// (awtune/awvalidate/awexport -ledger-out) or a live run of the pipeline,
+// whose own ledger it folds the same way:
 //
 //	awvalidate -ledger-out ledger.jsonl && awreport -ledger ledger.jsonl
 //	awreport                # tune + validate a live Volta session
@@ -154,15 +155,21 @@ func matchHint(variant string) string {
 	return fmt.Sprintf(" for variant %q", variant)
 }
 
-// fromLedger reconstructs attribution rows from KindBreakdown events, one
-// table per (variant, detail), re-verifying that each event's components
-// sum to its reported power (tolerating only float-printing rounding from
-// the JSON round trip).
+// fromLedger reconstructs attribution rows from a ledger artifact's
+// KindBreakdown events (see fromEvents).
 func fromLedger(path string) (map[table][]row, error) {
 	events, err := obs.ReadLedgerFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return fromEvents(path, events)
+}
+
+// fromEvents reconstructs attribution rows from KindBreakdown events, one
+// table per (variant, detail), re-verifying that each event's components
+// sum to its reported power (tolerating only float-printing rounding from
+// the JSON round trip). src names the events' source in errors.
+func fromEvents(src string, events []obs.Event) (map[table][]row, error) {
 	out := make(map[table][]row)
 	for i, ev := range events {
 		if ev.Kind != obs.KindBreakdown {
@@ -170,11 +177,11 @@ func fromLedger(path string) (map[table][]row, error) {
 		}
 		bd, err := core.BreakdownFromMap(ev.Breakdown)
 		if err != nil {
-			return nil, fmt.Errorf("%s: event %d (%s): %w", path, i, ev.Workload, err)
+			return nil, fmt.Errorf("%s: event %d (%s): %w", src, i, ev.Workload, err)
 		}
 		if sum := bd.Total(); !closeEnough(sum, ev.PowerW) {
 			return nil, fmt.Errorf("%s: event %d (%s): components sum to %g W but the event reports %g W — corrupted ledger",
-				path, i, ev.Workload, sum, ev.PowerW)
+				src, i, ev.Workload, sum, ev.PowerW)
 		}
 		t := table{ev.Variant, ev.Detail}
 		out[t] = append(out[t], row{
@@ -191,10 +198,10 @@ func closeEnough(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// fromLiveRun tunes a session and converts its four-variant validation
-// results — attribution straight from the model, no ledger needed. With
-// byCategory the run validates the category-tagged AI-inference pack
-// instead of the classic Table 4 suite.
+// fromLiveRun tunes a session, validates all four variants and folds the
+// run's own ledger through fromEvents — the rows a -ledger report of the
+// same run would print. With byCategory the run validates the
+// category-tagged AI-inference pack instead of the classic Table 4 suite.
 func fromLiveRun(archName string, full bool, workers int, byCategory bool, traceOut, ledgerOut string) (map[table][]row, error) {
 	arch, err := config.ByName(archName)
 	if err != nil {
@@ -210,38 +217,18 @@ func fromLiveRun(archName string, full bool, workers int, byCategory bool, trace
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[table][]row)
 	if byCategory {
-		all, err := sess.ValidateAllByCategory()
-		if err != nil {
-			return nil, err
-		}
-		for v, res := range all {
-			t := table{variant: v.String()}
-			for _, k := range res.Kernels {
-				out[t] = append(out[t], row{
-					Kernel: k.Name, Category: string(k.Category), MeasuredW: k.MeasuredW, TotalW: k.EstimatedW, Breakdown: k.Breakdown,
-				})
-			}
-		}
+		_, err = sess.ValidateAllByCategory()
 	} else {
-		all, err := sess.ValidateAll()
-		if err != nil {
-			return nil, err
-		}
-		for v, res := range all {
-			t := table{variant: v.String()}
-			for _, k := range res.Kernels {
-				out[t] = append(out[t], row{
-					Kernel: k.Name, MeasuredW: k.MeasuredW, TotalW: k.EstimatedW, Breakdown: k.Breakdown,
-				})
-			}
-		}
+		_, err = sess.ValidateAll()
+	}
+	if err != nil {
+		return nil, err
 	}
 	if err := run.Close(); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return fromEvents("live run "+run.ID, run.Led.Events())
 }
 
 // chargeRow is one tenant's accumulated energy ledger position.

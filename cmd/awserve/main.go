@@ -19,23 +19,19 @@
 // -deadline, then 504), and a cache miss beyond that answers 429. A cache
 // hit takes no slot.
 //
-// SIGINT/SIGTERM triggers a graceful drain: readiness flips to 503, new
-// estimation work is refused, accepted work is answered, in-flight HTTP
-// responses complete, and the ledger/trace artifacts are flushed with
-// run_end reason "sigterm".
+// SIGINT/SIGTERM triggers a graceful drain through cli.Run.Serve, all
+// within -drain-timeout: readiness flips to 503, new estimation work is
+// refused, accepted work is answered, and in-flight HTTP responses
+// complete. The ledger and trace are written with run_end reason
+// "sigterm" only once every admitted computation has finished, and the
+// process exits 0.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"accelwattch/internal/cli"
@@ -84,35 +80,7 @@ func main() {
 		run.Fatal(err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Mux()}
-	errc := make(chan error, 1)
-	go func() {
-		run.Log.Info("listening", "addr", *addr)
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case <-ctx.Done():
-		run.Log.Info("signal received; draining")
-	case err := <-errc:
-		run.Fatal(err)
-	}
-
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Drain(dctx); err != nil {
-		run.Log.Error("drain incomplete", "err", err)
-	}
-	if err := httpSrv.Shutdown(dctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		run.Log.Error("http shutdown", "err", err)
-	}
-	srv.Close()
-	if err := run.CloseReason("sigterm"); err != nil {
-		run.Log.Error("writing artifacts", "err", err)
-		os.Exit(1)
-	}
+	run.Serve(cli.SignalContext(), *addr, srv.Mux(), *drainTimeout, srv.Drain)
 }
 
 // buildSet produces the model zoo the gateway serves. Every mode is a

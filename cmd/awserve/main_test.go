@@ -124,8 +124,13 @@ func TestBuildSetErrors(t *testing.T) {
 	if _, err := buildSet("", filepath.Join(t.TempDir(), "nope.json"), "volta", false, 1, nil); err == nil {
 		t.Fatal("buildSet accepted a missing model file")
 	}
-	if _, err := buildSet("", "", "ampere", false, 1, nil); err == nil {
-		t.Fatal("buildSet accepted an unknown architecture")
+	// An alias the entry name is built from reads as the unknown
+	// architecture it is, not as an invalid entry name ("Volta-tuned").
+	for _, arch := range []string{"ampere", "Volta"} {
+		_, err := buildSet("", "", arch, false, 1, nil)
+		if want := fmt.Sprintf("unknown architecture %q", arch); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("buildSet -arch %s: error %v, want %s", arch, err, want)
+		}
 	}
 	if _, err := buildSet(filepath.Join(t.TempDir(), "nope.json"), "", "volta", false, 1, nil); err == nil {
 		t.Fatal("buildSet accepted a missing manifest")

@@ -16,7 +16,6 @@ import (
 	"accelwattch/internal/cli"
 	"accelwattch/internal/config"
 	"accelwattch/internal/core"
-	"accelwattch/internal/obs"
 	"accelwattch/internal/tune"
 	"accelwattch/internal/ubench"
 )
@@ -44,6 +43,7 @@ func main() {
 		sc = ubench.Full
 	}
 	obsRun := cli.Start("awsweep", arch.Name+" exp="+*exp, *traceOut, *ledgerOut)
+	obsRun.MetricsOut = *metricsOut
 	tb, err := tune.NewTestbench(arch, sc)
 	if err != nil {
 		obsRun.Fatal(err)
@@ -66,12 +66,6 @@ func main() {
 	run("divergence", sweepDivergence)
 	run("idlesm", sweepIdleSM)
 
-	if *metricsOut != "" {
-		if err := obs.Default().WriteJSONFile(*metricsOut); err != nil {
-			obsRun.Fatal(err)
-		}
-		fmt.Printf("wrote the telemetry snapshot to %s\n", *metricsOut)
-	}
 	if err := obsRun.Close(); err != nil {
 		log.Fatal(err)
 	}

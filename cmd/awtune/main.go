@@ -17,7 +17,6 @@ import (
 	"accelwattch/internal/cli"
 	"accelwattch/internal/config"
 	"accelwattch/internal/core"
-	"accelwattch/internal/obs"
 	"accelwattch/internal/tune"
 )
 
@@ -51,6 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 	run := cli.Start("awtune", arch.Name+" faults="+*faultName, *traceOut, *ledgerOut)
+	run.MetricsOut = *metricsOut
 
 	fmt.Printf("tuning AccelWattch for %s (%d SMs, %d nm, base %.0f MHz)...\n",
 		arch.Name, arch.NumSMs, arch.TechNodeNM, arch.BaseClockMHz)
@@ -124,12 +124,6 @@ func main() {
 			run.Fatal(err)
 		}
 		fmt.Printf("\nsaved the tuned SASS SIM model to %s (tuned variant %s)\n", *outPath, m.TunedVariant)
-	}
-	if *metricsOut != "" {
-		if err := obs.Default().WriteJSONFile(*metricsOut); err != nil {
-			run.Fatal(err)
-		}
-		fmt.Printf("wrote the telemetry snapshot to %s\n", *metricsOut)
 	}
 	if err := run.Close(); err != nil {
 		log.Fatal(err)

@@ -17,7 +17,6 @@ import (
 	"accelwattch"
 	"accelwattch/internal/cli"
 	"accelwattch/internal/eval"
-	"accelwattch/internal/obs"
 	"accelwattch/internal/tune"
 	"accelwattch/internal/workloads"
 )
@@ -45,6 +44,7 @@ func main() {
 		sc = accelwattch.Full
 	}
 	run := cli.Start("awvalidate", "volta", *traceOut, *ledgerOut)
+	run.MetricsOut = *metricsOut
 	fmt.Println("tuning AccelWattch on the Volta testbench...")
 	opts := accelwattch.SessionOptions{Workers: *workers}
 	sess, err := accelwattch.NewSessionWithOptions(accelwattch.Volta(), sc, opts)
@@ -216,12 +216,6 @@ func main() {
 			gw.ConstPlusStaticW, 100*gw.IntMulShare, 100*gw.DRAMShare)
 	}
 
-	if *metricsOut != "" {
-		if err := obs.Default().WriteJSONFile(*metricsOut); err != nil {
-			run.Fatal(err)
-		}
-		fmt.Printf("\nwrote the telemetry snapshot to %s\n", *metricsOut)
-	}
 	if err := run.Close(); err != nil {
 		log.Fatal(err)
 	}

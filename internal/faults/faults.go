@@ -64,7 +64,6 @@ type Meter interface {
 	Temperature() float64
 	Run(kts ...*trace.KernelTrace) (*silicon.Measurement, error)
 	Profile(kts ...*trace.KernelTrace) (*silicon.Counters, error)
-	MeasureIdle() *silicon.Measurement
 }
 
 // Profile configures one fault composition. The zero value injects nothing
@@ -434,41 +433,6 @@ func (f *FaultyMeter) Profile(kts ...*trace.KernelTrace) (*silicon.Counters, err
 		}
 	}
 	return f.inner.Profile(kts...)
-}
-
-// MeasureIdle reads the idle chip through the sample fault pipeline. The
-// signature has no error path, so whole-read faults do not apply.
-func (f *FaultyMeter) MeasureIdle() *silicon.Measurement {
-	m := f.inner.MeasureIdle()
-	if !f.prof.Enabled() {
-		return m
-	}
-	key := f.pointKey("idle", nil)
-	attempt := f.nextAttempt(key)
-	rng := f.rng(key, attempt)
-	out := &silicon.Measurement{ClockMHz: m.ClockMHz}
-	sum := 0.0
-	for _, s := range m.Samples {
-		if f.prof.NoiseSigma > 0 {
-			s *= 1 + f.prof.NoiseSigma*rng.NormFloat64()
-		}
-		if f.prof.SpikeRate > 0 && rng.Float64() < f.prof.SpikeRate {
-			s *= f.prof.SpikeFactor
-		}
-		if f.prof.QuantStepW > 0 {
-			s = math.Round(s/f.prof.QuantStepW) * f.prof.QuantStepW
-		}
-		if f.prof.DropRate > 0 && rng.Float64() < f.prof.DropRate {
-			continue
-		}
-		out.Samples = append(out.Samples, s)
-		sum += s
-	}
-	if len(out.Samples) == 0 {
-		return m
-	}
-	out.AvgPowerW = sum / float64(len(out.Samples))
-	return out
 }
 
 // Compile-time checks: both the device and the wrapper satisfy Meter.

@@ -22,8 +22,9 @@ import (
 
 // truth holds the hidden ground-truth power parameters of one device. It is
 // unexported on purpose: the power model under test must never read it.
-// Tests that need an oracle use the exported Oracle accessors, which are
-// documented as test-only.
+// No accessor exports it, to tests either: they observe a device the way
+// the tuning pipeline does, through its measurements (Run, Profile,
+// MeasureIdle).
 type truth struct {
 	// Per-lane dynamic energy per executed operation, picojoules, at the
 	// base voltage/frequency point.

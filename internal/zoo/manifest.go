@@ -98,15 +98,27 @@ func LoadManifest(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// Validate checks manifest structure: unique valid names, exactly one
-// source each, derive references pointing at earlier entries.
+// Validate checks manifest structure: architecture aliases config knows,
+// unique valid names, exactly one source each, derive references pointing
+// at earlier entries.
 func (m *Manifest) Validate() error {
 	if len(m.Models) == 0 {
 		return fmt.Errorf("no models listed")
 	}
+	known := func(alias string) bool { _, ok := config.FullName(alias); return ok }
 	seen := make(map[string]bool, len(m.Models))
 	for i := range m.Models {
 		e := &m.Models[i]
+		// Aliases come before names: awserve names its -arch entry after
+		// the alias, so "Volta" must read as an unknown architecture, not
+		// as the invalid name "Volta-tuned". Checking every entry here
+		// also keeps Build from tuning entries of a manifest it refuses.
+		if e.Tune != nil && !known(e.Tune.Arch) {
+			return fmt.Errorf("entry %q: unknown architecture %q", e.Name, e.Tune.Arch)
+		}
+		if e.Derive != nil && !known(e.Derive.Arch) {
+			return fmt.Errorf("entry %q: unknown derive target architecture %q", e.Name, e.Derive.Arch)
+		}
 		if !ValidName(e.Name) {
 			return fmt.Errorf("entry %d: invalid name %q", i, e.Name)
 		}
@@ -134,9 +146,6 @@ func (m *Manifest) Validate() error {
 			// self-reference fails here too.
 			if !seen[e.Derive.From] {
 				return fmt.Errorf("entry %q derives from %q, which is not an earlier entry", e.Name, e.Derive.From)
-			}
-			if e.Derive.Arch == "" {
-				return fmt.Errorf("entry %q: derive needs a target arch", e.Name)
 			}
 		}
 		seen[e.Name] = true

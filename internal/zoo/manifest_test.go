@@ -55,6 +55,13 @@ func TestManifestValidate(t *testing.T) {
 		}, "earlier entry"},
 		{"derive from self", func(m *Manifest) { m.Models[1].Derive.From = "b" }, "earlier entry"},
 		{"derive without arch", func(m *Manifest) { m.Models[1].Derive.Arch = "" }, "target arch"},
+		{"derive to unknown arch", func(m *Manifest) { m.Models[1].Derive.Arch = "ampere" }, `unknown derive target architecture "ampere"`},
+		{"tune unknown arch", func(m *Manifest) { m.Models[0] = ManifestEntry{Name: "a", Tune: &TuneSpec{Arch: "ampere"}} }, `entry "a": unknown architecture "ampere"`},
+		// awserve -arch Volta: the entry name derived from the alias is
+		// invalid too, but the alias is the error to report.
+		{"alias before name", func(m *Manifest) {
+			m.Models[0] = ManifestEntry{Name: "Volta-tuned", Tune: &TuneSpec{Arch: "Volta"}}
+		}, `unknown architecture "Volta"`},
 		{"unknown default", func(m *Manifest) { m.Default = "zzz" }, "not a listed model"},
 	}
 	for _, c := range cases {
@@ -179,6 +186,36 @@ func TestBuildFileEntryTunedVariantGuard(t *testing.T) {
 	m = &Manifest{Models: []ManifestEntry{{Name: "b", File: "bad.json"}}}
 	if _, err := Build(m, BuildOptions{Dir: dir}); err == nil {
 		t.Fatal("Build accepted an unknown tuned-variant tag")
+	}
+}
+
+// A manifest with an unknown alias anywhere is refused before any entry
+// is built: at Quick or Full scale, tuning the entries before the bad one
+// would waste a whole tune.
+func TestBuildRefusesUnknownAliasBeforeTuning(t *testing.T) {
+	tuned := 0
+	stub := func(archAlias string, full bool) (map[tune.Variant]*core.Model, string, error) {
+		tuned++
+		return map[tune.Variant]*core.Model{tune.SASSSIM: testModel(t, config.Volta())}, "tuned:stub", nil
+	}
+	for _, m := range []*Manifest{
+		{Models: []ManifestEntry{
+			{Name: "v", Tune: &TuneSpec{Arch: "volta"}},
+			{Name: "a", Derive: &DeriveSpec{From: "v", Arch: "ampere"}},
+		}},
+		{Models: []ManifestEntry{
+			{Name: "v", Tune: &TuneSpec{Arch: "volta"}},
+			{Name: "a", Tune: &TuneSpec{Arch: "ampere"}},
+		}},
+	} {
+		tuned = 0
+		_, err := Build(m, BuildOptions{Tune: stub})
+		if tuned != 0 {
+			t.Fatalf("tuner called %d times for a manifest with an unknown alias, want 0", tuned)
+		}
+		if err == nil || !strings.Contains(err.Error(), `architecture "ampere"`) {
+			t.Fatalf("Build error %v, want the unknown architecture \"ampere\"", err)
+		}
 	}
 }
 
