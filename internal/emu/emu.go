@@ -293,13 +293,11 @@ func (w *warpState) runUntilBarrierOrExit() error {
 		}
 		w.steps++
 		if w.steps > MaxDynInstrsPerWarp {
-			return fmt.Errorf("emu: kernel %s: warp (%d,%d) exceeded %d dynamic instructions",
-				k.Name, w.cta, w.warp, MaxDynInstrsPerWarp)
+			return stepsError(k.Name, w.cta, w.warp)
 		}
 		l.records++
 		if l.records > MaxTraceRecords || l.addrs > MaxTraceAddrs {
-			return fmt.Errorf("%w: kernel %s: more than %d records or %d explicit lane addresses",
-				ErrTraceBudget, k.Name, MaxTraceRecords, MaxTraceAddrs)
+			return recordsError(k.Name)
 		}
 
 		pc := top.pc
@@ -339,6 +337,19 @@ func (w *warpState) runUntilBarrierOrExit() error {
 		}
 		top.pc++
 	}
+}
+
+// stepsError is the error of a warp that runs past MaxDynInstrsPerWarp,
+// and recordsError that of a launch whose trace outgrows MaxTraceRecords
+// or MaxTraceAddrs. Run and Lower both return them.
+func stepsError(kernel string, cta, warp int) error {
+	return fmt.Errorf("emu: kernel %s: warp (%d,%d) exceeded %d dynamic instructions",
+		kernel, cta, warp, MaxDynInstrsPerWarp)
+}
+
+func recordsError(kernel string) error {
+	return fmt.Errorf("%w: kernel %s: more than %d records or %d explicit lane addresses",
+		ErrTraceBudget, kernel, MaxTraceRecords, MaxTraceAddrs)
 }
 
 // branch implements the SIMT reconvergence stack. Forward branches

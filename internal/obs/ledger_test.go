@@ -120,6 +120,25 @@ func TestWriteFileAtomicReplacesNotTruncates(t *testing.T) {
 	}
 }
 
+// Artifacts are read by other users (a textfile collector, a CI upload),
+// so WriteFileAtomic leaves them 0644, not the temp file's 0600.
+func TestWriteFileAtomicMode(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	if err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write([]byte("{}"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode := fi.Mode().Perm(); mode != 0o644 {
+		t.Errorf("artifact mode %v, want -rw-r--r--", mode)
+	}
+}
+
 func TestNewRunID(t *testing.T) {
 	a, b := NewRunID(), NewRunID()
 	if len(a) != 16 || len(b) != 16 {

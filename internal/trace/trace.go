@@ -39,9 +39,11 @@ type Mem struct {
 
 // WarpTrace is the full dynamic instruction stream of one warp.
 //
-// Recs is read-only, and it may alias other warps' Recs within one trace:
-// emu gives warps that executed the same records one shared slice. Mem is
-// the warp's own.
+// Recs and Mem are read-only. Recs may alias other warps' Recs within one
+// trace: emu gives warps that executed the same records one shared slice.
+// Mem may alias the same warp's Mem in the trace of the kernel at the
+// other ISA level: emu.Lower builds a SASS trace from a PTX trace, and
+// lowering moves no memory record, so the two share their address entries.
 type WarpTrace struct {
 	CTA  int // CTA index within the grid
 	Warp int // warp index within the CTA
@@ -54,7 +56,8 @@ type KernelTrace struct {
 	Kernel *isa.Kernel // the kernel at the level that was traced
 	Warps  []WarpTrace
 	// Addrs holds the lane addresses of the listed memory records, warp
-	// by warp in record order.
+	// by warp in record order. It is read-only: a SASS trace that
+	// emu.Lower built shares it with the PTX trace it was lowered from.
 	Addrs []uint64
 }
 

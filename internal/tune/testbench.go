@@ -28,7 +28,8 @@ import (
 // while all replicas memoise traces, measurements, profiles and simulation
 // results in one place — the tuning flow replays the same kernels at many
 // frequencies, and the 4-variant validation replays the same kernels per
-// variant, so nothing is ever emulated twice.
+// variant. Nothing is emulated twice: a PTX workload's SASS trace is its
+// PTX trace lowered (see Trace).
 type Testbench struct {
 	Arch   *config.Arch
 	Device *silicon.Device
@@ -159,9 +160,23 @@ func (w *Workload) newMemory() *emu.Memory {
 }
 
 // Trace returns the functional trace of the workload at the given ISA
-// level, computing and caching it on first use (the NVBit step).
+// level, computing and caching it on first use (the NVBit step). A PTX
+// workload is emulated once, at PTX: its SASS trace is the stored PTX
+// trace lowered by emu.Lower, which shares the PTX trace's addresses and,
+// when no opcode expands, its warps. A SASS workload is emulated directly.
 func (tb *Testbench) Trace(w Workload, level isa.Level) (*trace.KernelTrace, error) {
 	return tb.arts.traces.Do(traceKey{w.Name, level}, func() (*trace.KernelTrace, error) {
+		if level == isa.SASS && w.Kernel.Level == isa.PTX {
+			ptx, err := tb.Trace(w, isa.PTX)
+			if err != nil {
+				return nil, err
+			}
+			kt, err := emu.Lower(ptx)
+			if err != nil {
+				return nil, fmt.Errorf("tune: tracing %s: %w", w.Name, err)
+			}
+			return kt, nil
+		}
 		k, err := isa.ForLevel(w.Kernel, level)
 		if err != nil {
 			return nil, err

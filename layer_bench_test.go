@@ -14,9 +14,10 @@ import (
 	"accelwattch/internal/workloads"
 )
 
-// The per-layer benchmarks time the pipeline's first three layers on a
-// fixed list of Quick-scale Volta validation kernels, at both ISA levels
-// (silicon runs SASS only): integer and FP32 ALU work (binOpt, sobol),
+// The per-layer benchmarks time the pipeline's first three layers, and
+// emu's lowering of PTX traces to SASS, on a fixed list of Quick-scale
+// Volta validation kernels, at both ISA levels (silicon runs SASS only,
+// the lowering reads PTX only): integer and FP32 ALU work (binOpt, sobol),
 // SFU-heavy code (mriq), global loads and atomics (kmeans, histo), shared
 // memory behind barriers (walsh, sgemm) and divergent pointer chasing
 // (b+tree). Each reports ns/warp-instr, the unit perfbench's traced run
@@ -86,6 +87,31 @@ func BenchmarkLayerEmu(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, c := range cases {
 			instrs += warpInstrs(c.trace(b))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/warp-instr")
+}
+
+// BenchmarkLayerLower times emu.Lower, which builds a PTX workload's SASS
+// trace from its PTX trace, over the layer kernels' PTX traces, built
+// before the timer starts. ns/warp-instr is per SASS record delivered.
+func BenchmarkLayerLower(b *testing.B) {
+	var kts []*trace.KernelTrace
+	for _, c := range layerCases(b) {
+		if c.kernel.Level == isa.PTX {
+			kts = append(kts, c.trace(b))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var instrs int64
+	for i := 0; i < b.N; i++ {
+		for _, kt := range kts {
+			lowered, err := emu.Lower(kt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			instrs += warpInstrs(lowered)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/warp-instr")
