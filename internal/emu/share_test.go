@@ -1,10 +1,12 @@
 package emu
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
 	"accelwattch/internal/isa"
+	"accelwattch/internal/trace"
 )
 
 // warpLoop runs its loop once more in each warp of the grid than in the
@@ -28,7 +30,8 @@ loop:
 // and its third warp is partial, so its nine warps make four streams: a
 // warp shares with the same slot in the CTA before or with the warp just
 // before. Every warp of diverge_probe and affine_loop runs the same
-// records, and no two warps of warp_loop do.
+// records, and no two warps of warp_loop do. Lower of the PTX trace must
+// be the SASS trace, streams included (affine_loop's ADD.S64 expands).
 func TestStreamSharing(t *testing.T) {
 	want := map[string][2]int{ // kernel: warps, streams
 		"leak_probe":    {9, 4},
@@ -45,15 +48,26 @@ func TestStreamSharing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var kts []*trace.KernelTrace
 		for _, kk := range []*isa.Kernel{k, sass} {
 			kt, err := Run(kk, nil)
 			if err != nil {
 				t.Fatalf("%s (%v): %v", kk.Name, kk.Level, err)
 			}
+			kts = append(kts, kt)
+		}
+		lowered, err := Lower(kts[0])
+		if err != nil {
+			t.Fatalf("%s: Lower: %v", k.Name, err)
+		}
+		if !reflect.DeepEqual(lowered, kts[1]) {
+			t.Errorf("%s: Lower of the PTX trace differs from the SASS trace", k.Name)
+		}
+		for _, kt := range append(kts, lowered) {
 			got := [2]int{len(kt.Warps), len(kt.Streams())}
-			if got != want[kk.Name] {
+			if got != want[k.Name] {
 				t.Errorf("%s (%v): %d warps in %d streams, want %d in %d",
-					kk.Name, kk.Level, got[0], got[1], want[kk.Name][0], want[kk.Name][1])
+					k.Name, kt.Kernel.Level, got[0], got[1], want[k.Name][0], want[k.Name][1])
 			}
 		}
 	}
