@@ -101,6 +101,10 @@ type Session struct {
 	arch    *Arch
 	scale   Scale
 	workers int
+
+	// kernels holds every kernel passed to EstimateKernel or PowerTrace,
+	// so that no later kernel takes an address that names store entries.
+	kernels sync.Map
 }
 
 // NewSession builds the testbench for an architecture and runs the full
@@ -298,10 +302,11 @@ func (s *Session) CompareGPUWattch() (*eval.GPUWattchComparison, error) {
 
 // EstimateKernel runs an arbitrary PTX-level kernel through the performance
 // model of the chosen variant and returns the power breakdown — the
-// "experiment customisation" path of the artifact appendix.
+// "experiment customisation" path of the artifact appendix. The session
+// keeps what it computed for k, so k and setup must not change between
+// calls.
 func (s *Session) EstimateKernel(k *isa.Kernel, setup func(*emu.Memory), v Variant) (Breakdown, error) {
-	w := tune.Workload{Name: k.Name, Kernel: k, Setup: setup}
-	a, err := s.tb.Activity(w, v)
+	a, err := s.tb.Activity(s.kernelWorkload(k, setup), v)
 	if err != nil {
 		return Breakdown{}, err
 	}
@@ -310,14 +315,25 @@ func (s *Session) EstimateKernel(k *isa.Kernel, setup func(*emu.Memory), v Varia
 
 // PowerTrace returns the cycle-level power trace (one sample per 500-cycle
 // window, Section 5.2) of a kernel under the SASS SIM variant, plus the
-// time-weighted average power.
+// time-weighted average power. As for EstimateKernel, k and setup must not
+// change between calls.
 func (s *Session) PowerTrace(k *isa.Kernel, setup func(*emu.Memory)) ([]float64, float64, error) {
-	w := tune.Workload{Name: k.Name, Kernel: k, Setup: setup}
-	r, err := s.tb.Simulate(w, isa.SASS)
+	r, err := s.tb.Simulate(s.kernelWorkload(k, setup), isa.SASS)
 	if err != nil {
 		return nil, 0, err
 	}
 	return s.tuned.Model(SASSSIM).EstimateTrace(r.Windows)
+}
+
+// kernelWorkload names a caller's kernel for the testbench's artifact
+// store, which keys by workload name and already holds every suite
+// workload under its own: the kernel's name plus its address, which no
+// suite workload shares, and no other kernel either, because the session
+// keeps k reachable. Measurements do not move, because silicon's noise
+// seed and the fault meter's point key hash the kernel's own name.
+func (s *Session) kernelWorkload(k *isa.Kernel, setup func(*emu.Memory)) tune.Workload {
+	s.kernels.Store(k, nil)
+	return tune.Workload{Name: fmt.Sprintf("%s@%p", k.Name, k), Kernel: k, Setup: setup}
 }
 
 // Assemble compiles textual kernel assembly (see internal/isa's format) —

@@ -1,6 +1,8 @@
 package accelwattch
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -104,6 +106,74 @@ loop:
 	}
 	if len(series) == 0 || avg <= 0 {
 		t.Error("empty power trace")
+	}
+}
+
+// TestEstimateKernelOwnEntries: a caller's kernel gets its own entries in
+// the session's artifact store, which tuning has filled with every
+// microbenchmark under its name. A kernel named like a microbenchmark
+// estimates what its renamed twin does, under a simulated and a hardware
+// variant and in its power trace, and a second, different kernel with a
+// name the session has seen gets its own answer.
+func TestEstimateKernelOwnEntries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tunes a session")
+	}
+	sess, err := SharedSession(Volta(), Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		sassW, hwW, avgW float64
+		series           []float64
+	}
+	run := func(name string, trips int) answer {
+		t.Helper()
+		k, err := Assemble(fmt.Sprintf(`.kernel %s
+.grid 80
+.block 256
+    S2R R1, gtid
+    MOVI R2, %d
+loop:
+    FFMA R3, R3, R3, R3
+    IADD R2, R2, -1
+    ISETP.gt P0, R2, 0
+@P0 BRA loop
+    EXIT`, name, trips))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a answer
+		for _, c := range []struct {
+			v Variant
+			w *float64
+		}{{SASSSIM, &a.sassW}, {HW, &a.hwW}} {
+			bd, err := sess.EstimateKernel(k, nil, c.v)
+			if err != nil {
+				t.Fatalf("%s under %v: %v", name, c.v, err)
+			}
+			*c.w = bd.Total()
+		}
+		if a.series, a.avgW, err = sess.PowerTrace(k, nil); err != nil {
+			t.Fatalf("%s power trace: %v", name, err)
+		}
+		return a
+	}
+	same := func(a, b answer) bool {
+		return a.sassW == b.sassW && a.hwW == b.hwW && a.avgW == b.avgW && slices.Equal(a.series, b.series)
+	}
+
+	want := run("own_kernel", 8)
+	for _, name := range []string{"int_add", "dvfs_int_add"} {
+		if got := run(name, 8); !same(got, want) {
+			t.Errorf("kernel named %s: SASS_SIM %.3f W, HW %.3f W, trace avg %.3f W; its renamed twin: %.3f, %.3f, %.3f W",
+				name, got.sassW, got.hwW, got.avgW, want.sassW, want.hwW, want.avgW)
+		}
+	}
+	other := run("own_kernel", 32)
+	if other.sassW == want.sassW || other.hwW == want.hwW || slices.Equal(other.series, want.series) {
+		t.Errorf("a second own_kernel with 4x the trips answered SASS_SIM %.3f W, HW %.3f W, %d trace windows: the first one's %.3f, %.3f W, %d windows",
+			other.sassW, other.hwW, len(other.series), want.sassW, want.hwW, len(want.series))
 	}
 }
 

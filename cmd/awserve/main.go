@@ -14,10 +14,9 @@
 // /models, PUT /models/{name}, DELETE /models/{name}) hot-add, replace, or
 // retire entries under load without draining.
 //
-// Each estimate is computed in its request handler: at most -workers
-// computations run at once, up to -queue more wait for a slot (until
-// -deadline, then 504), and a cache miss beyond that answers 429. A cache
-// hit takes no slot.
+// Each cache miss is computed in its request handler as soon as it
+// arrives; nothing queues or refuses it short of a drain. -workers sizes
+// startup tuning only.
 //
 // SIGINT/SIGTERM triggers a graceful drain through cli.Run.Serve, all
 // within -drain-timeout: readiness flips to 503, new estimation work is
@@ -48,10 +47,8 @@ func main() {
 		full         = flag.Bool("full", false, "tune at the full-fidelity workload scale")
 		modelPath    = flag.String("model", "", "serve a saved model file (accelwattch-model-v1 JSON) for all variants instead of tuning")
 		manifestPath = flag.String("models", "", "serve a multi-architecture model zoo from a manifest file (overrides -model/-arch)")
-		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent estimate computations, and startup tuning workers (responses are identical at any setting)")
-		queue        = flag.Int("queue", serve.DefaultQueueSize, "estimates that may wait for a compute slot; beyond that a cache miss answers 429")
+		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "startup tuning workers (the tuned models are identical at any setting)")
 		cacheSize    = flag.Int("cache", 4096, "response LRU capacity in entries (0 disables caching)")
-		deadline     = flag.Duration("deadline", serve.DefaultDeadline, "how long a request may wait for a compute slot before answering 504")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for accepted work and in-flight responses")
 		ledgerCap    = flag.Int("ledger-cap", 65536, "attribution-ledger retention in events (0 = unbounded; unsafe for long runs)")
 	)
@@ -69,13 +66,7 @@ func main() {
 			"variants", len(e.Variants()), "default", e.Name == set.Default)
 	}
 
-	srv, err := serve.New(serve.Config{
-		Zoo:       set,
-		Workers:   *workers,
-		QueueSize: *queue,
-		CacheSize: *cacheSize,
-		Deadline:  *deadline,
-	})
+	srv, err := serve.New(serve.Config{Zoo: set, CacheSize: *cacheSize})
 	if err != nil {
 		run.Fatal(err)
 	}

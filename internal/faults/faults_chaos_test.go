@@ -60,7 +60,7 @@ func baseline(t *testing.T) (*tune.Testbench, *tune.Result, float64) {
 			b.err = err
 			return
 		}
-		res, err := tune.Tune(tb, tb.DefaultOptions())
+		res, err := tb.Sequential().Tune(tb.DefaultOptions())
 		if err != nil {
 			b.err = err
 			return
@@ -163,7 +163,7 @@ func TestChaosSuite(t *testing.T) {
 				t.Fatal(err)
 			}
 			tb.UseMeter(fm, tune.HardenedMeterPolicy())
-			res, err := tune.Tune(tb, tb.DefaultOptions())
+			res, err := tb.Sequential().Tune(tb.DefaultOptions())
 			if err != nil {
 				t.Fatalf("Tune under %q faults: %v", tc.name, err)
 			}
@@ -239,7 +239,7 @@ func TestQuarantineSurvivesDeadBench(t *testing.T) {
 			}
 			vm := &vetoMeter{Meter: tb.Device, substr: tc.victim}
 			tb.UseMeter(vm, tune.HardenedMeterPolicy())
-			res, err := tune.Tune(tb, tb.DefaultOptions())
+			res, err := tb.Sequential().Tune(tb.DefaultOptions())
 			if err != nil {
 				t.Fatalf("Tune with dead %s workload %q: %v", tc.stage, tc.victim, err)
 			}
@@ -269,7 +269,7 @@ func TestCleanPathBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb.UseMeter(fm, tune.DefaultMeterPolicy())
-	res, err := tune.Tune(tb, tb.DefaultOptions())
+	res, err := tb.Sequential().Tune(tb.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

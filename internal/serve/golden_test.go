@@ -61,7 +61,7 @@ func goldenRequests() []goldenCase {
 //
 //	UPDATE_SERVE_GOLDEN=1 go test ./internal/serve/ -run TestGoldenSingleModelBackCompat
 func TestGoldenSingleModelBackCompat(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, CacheSize: 64})
+	_, ts := newTestServer(t, Config{CacheSize: 64})
 
 	run := func() []goldenCase {
 		cases := goldenRequests()

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -81,12 +80,6 @@ func writeResult(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// statusClientClosedRequest is the nginx-convention status for a client
-// that disconnected before the response was ready. The client never sees
-// it; it exists so aborts are distinguishable from server-side timeouts in
-// the request counter and don't inflate the 5xx rate.
-const statusClientClosedRequest = 499
-
 // writeStatusErr maps a routing/admin error onto its HTTP status (400 for
 // plain errors).
 func writeStatusErr(w http.ResponseWriter, err error) {
@@ -98,25 +91,13 @@ func writeStatusErr(w http.ResponseWriter, err error) {
 	httpError(w, http.StatusBadRequest, err.Error())
 }
 
-// failServe maps the serving sentinels onto HTTP statuses: backpressure is
-// 429 + Retry-After, drain is 503, a blown deadline is 504, and a client
-// that went away mid-request is 499.
+// failServe answers a serving error: drain is 503 and counts as a
+// rejection, and any other error is the request's own, 400.
 func failServe(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, errBackpressure):
-		mRejected.With("backpressure").Inc()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "estimation queue full; retry")
-	case errors.Is(err, errDraining):
+	if errors.Is(err, errDraining) {
 		mRejected.With("draining").Inc()
-		writeStatusErr(w, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		httpError(w, http.StatusGatewayTimeout, "deadline exceeded")
-	case errors.Is(err, context.Canceled):
-		httpError(w, statusClientClosedRequest, "client closed request")
-	default:
-		httpError(w, http.StatusBadRequest, err.Error())
 	}
+	writeStatusErr(w, err)
 }
 
 // handleEstimate answers POST /estimate.
@@ -150,7 +131,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "variant "+req.Variant+" not served")
 		return
 	}
-	res, err := s.answer(r.Context(), u, req.CacheKey(), func() (result, error) {
+	res, err := s.answer(u, req.CacheKey(), func() (result, error) {
 		return computeEstimate(m, req)
 	})
 	if err != nil {
@@ -192,7 +173,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "variant "+req.Variant+" not served")
 		return
 	}
-	res, err := s.answer(r.Context(), u, req.CacheKey(), func() (result, error) {
+	res, err := s.answer(u, req.CacheKey(), func() (result, error) {
 		return computeSweep(m, req)
 	})
 	if err != nil {
@@ -236,7 +217,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	snapshot := map[string]any{
 		"status":   "ok",
 		"draining": s.Draining(),
-		"workers":  s.workers,
 		"variants": variants,
 		"cached":   cached,
 		"default":  defaultName,

@@ -13,10 +13,10 @@ import (
 )
 
 // TestServeLoadSmoke fires 96 concurrent clients with mixed estimate/sweep
-// traffic and asserts zero 5xx responses and a clean drain — the in-process
-// version of CI's load-smoke job.
+// traffic and asserts that every response is 200 and the drain is clean —
+// the in-process version of CI's load-smoke job.
 func TestServeLoadSmoke(t *testing.T) {
-	s, err := New(Config{Zoo: testSet(t, testModels()), Workers: 8, CacheSize: 256})
+	s, err := New(Config{Zoo: testSet(t, testModels()), CacheSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,6 @@ func TestServeLoadSmoke(t *testing.T) {
 
 	const clients = 96
 	const perClient = 4
-	var server5xx, rejected atomic.Int64
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -45,24 +44,13 @@ func TestServeLoadSmoke(t *testing.T) {
 					return
 				}
 				resp.Body.Close()
-				switch {
-				case resp.StatusCode >= 500:
-					server5xx.Add(1)
-				case resp.StatusCode == http.StatusTooManyRequests:
-					rejected.Add(1)
-				case resp.StatusCode != http.StatusOK:
-					t.Errorf("client %d: unexpected status %d", c, resp.StatusCode)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("client %d: status %d, want 200", c, resp.StatusCode)
 				}
 			}
 		}(c)
 	}
 	wg.Wait()
-	if n := server5xx.Load(); n != 0 {
-		t.Fatalf("%d responses were 5xx under load", n)
-	}
-	if n := rejected.Load(); n > 0 {
-		t.Logf("backpressure rejected %d requests (allowed)", n)
-	}
 
 	// Clean shutdown: drain must finish promptly once load stops.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -74,9 +62,10 @@ func TestServeLoadSmoke(t *testing.T) {
 }
 
 // BenchmarkServeMixedLoad is the load client CI's load-smoke job runs: ≥64
-// concurrent clients of mixed estimate/sweep traffic. Any 5xx fails it.
+// concurrent clients of mixed estimate/sweep traffic. Any status but 200
+// fails it.
 func BenchmarkServeMixedLoad(b *testing.B) {
-	s, err := New(Config{Zoo: testSet(b, testModels()), Workers: 8, CacheSize: 1024})
+	s, err := New(Config{Zoo: testSet(b, testModels()), CacheSize: 1024})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,7 +97,7 @@ func BenchmarkServeMixedLoad(b *testing.B) {
 			// connection; otherwise every request pays a TCP setup.
 			_, _ = io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
+			if resp.StatusCode != http.StatusOK {
 				b.Fatalf("status %d", resp.StatusCode)
 			}
 		}

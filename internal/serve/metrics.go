@@ -21,10 +21,8 @@ var (
 		obs.ExpBuckets(1e-5, 4, 12), "route")
 	mCacheEvents = obs.Default().CounterVec("aw_serve_cache_events_total",
 		"Response-cache events (hit, miss, eviction, bypass), by model shard.", "model", "result")
-	mQueueDepth = obs.Default().Gauge("aw_serve_queue_depth",
-		"Admitted estimate computations currently waiting for a compute slot.")
 	mRejected = obs.Default().CounterVec("aw_serve_rejected_total",
-		"Requests rejected before computation, by reason (backpressure, draining, deadline, canceled).", "reason")
+		"Requests rejected before computation, by reason (draining).", "reason")
 	mDraining = obs.Default().Gauge("aw_serve_draining",
 		"1 while the server is draining and refusing new estimation work.")
 	mEstimates = obs.Default().CounterVec("aw_serve_estimates_total",

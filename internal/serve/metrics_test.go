@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"net/http"
 	"strings"
 	"testing"
@@ -10,9 +9,9 @@ import (
 )
 
 // TestServedPathAllocs pins the request path's per-request allocations to
-// zero in three places: a miss that finds a compute slot free builds no
-// deadline context, and a hit and the estimate accounting update metric
-// series the unit resolved at install instead of looking them up by label.
+// zero in three places: a miss, a hit, and the estimate accounting, which
+// update metric series the unit resolved at install instead of looking
+// them up by label.
 func TestServedPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -27,16 +26,15 @@ func TestServedPathAllocs(t *testing.T) {
 	}
 	key := req.CacheKey()
 	compute := func() (result, error) { return res, nil }
-	ctx := context.Background()
 
 	for _, c := range []struct {
 		name      string
 		cacheSize int
-	}{{"cache-bypass miss with a free slot", 0}, {"hit", 8}} {
+	}{{"cache-bypass miss", 0}, {"hit", 8}} {
 		s, _ := newTestServer(t, Config{CacheSize: c.cacheSize})
 		u := s.units[s.DefaultName()]
 		if n := testing.AllocsPerRun(100, func() {
-			if _, err := s.answer(ctx, u, key, compute); err != nil {
+			if _, err := s.answer(u, key, compute); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
@@ -57,7 +55,7 @@ func TestRetireLeavesNoSeries(t *testing.T) {
 	s, ts := newZooServer(t, Config{CacheSize: 8})
 	g := newGate()
 	s.testHookCompute = g.hook
-	held := holdSlot(t, ts, g, routedBody(3, `"model":"turing-derived",`))
+	held := holdCompute(t, ts, g, routedBody(3, `"model":"turing-derived",`))
 	if err := s.Retire("turing-derived"); err != nil {
 		t.Fatal(err)
 	}

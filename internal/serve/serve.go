@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -19,22 +18,21 @@ import (
 	"accelwattch/internal/zoo"
 )
 
-// Config sizes the service. The zero value of each field selects the
-// documented default; Zoo is required.
+// Config configures the service: the models it serves and the size of
+// their response caches. Zoo is required; the deprecated fields are
+// ignored.
 type Config struct {
 	// Zoo is the multi-architecture model set the gateway serves: named
 	// entries (tuned, file-loaded, derived), each becoming a model-scoped
 	// serving unit with its own cache shard and metrics labels.
 	Zoo *zoo.Set
 
-	// Workers is how many estimate computations run at once; values < 1
-	// mean 1. Responses are bit-identical at every setting.
+	// Deprecated: Workers is ignored. Each estimate is computed in its
+	// request handler, with no compute slots to size.
 	Workers int
 
-	// QueueSize is how many admitted computations may wait for one of the
-	// Workers compute slots. Once Workers+QueueSize computations are
-	// admitted, further cache misses answer 429 with Retry-After instead of
-	// building unbounded backlog. Default 256.
+	// Deprecated: QueueSize is ignored. No computation waits for a slot,
+	// so there is no queue to bound.
 	QueueSize int
 
 	// Deprecated: MaxBatch is ignored. Estimates are computed in the request
@@ -45,20 +43,20 @@ type Config struct {
 	// Zero or negative disables caching entirely.
 	CacheSize int
 
-	// Deadline bounds how long a request waits for a compute slot; a
-	// request still waiting when it expires gets 504. Default 5s.
+	// Deprecated: Deadline is ignored. No request waits for a compute
+	// slot, so there is nothing to time out.
 	Deadline time.Duration
 }
 
-// Defaults for the zero Config fields.
+// Deprecated: DefaultQueueSize, DefaultDeadline and DefaultMaxBatch are the
+// values of the ignored Config fields QueueSize, Deadline and MaxBatch.
 const (
 	DefaultQueueSize = 256
 	DefaultDeadline  = 5 * time.Second
+	DefaultMaxBatch  = 32
+)
 
-	// Deprecated: DefaultMaxBatch is the value of the ignored
-	// Config.MaxBatch.
-	DefaultMaxBatch = 32
-
+const (
 	// maxModels caps the registry so the bounded `model` metric label and
 	// the admin surface cannot grow without limit.
 	maxModels = 64
@@ -74,11 +72,8 @@ const (
 	StateRetired = "retired" // removed; in-flight requests finished on the old model
 )
 
-// Sentinel errors mapped to HTTP statuses by the handlers.
-var (
-	errBackpressure = errors.New("serve: queue full")
-	errDraining     = &statusError{code: http.StatusServiceUnavailable, msg: "server is draining"}
-)
+// errDraining answers estimation and admin work once draining begins.
+var errDraining = &statusError{code: http.StatusServiceUnavailable, msg: "server is draining"}
 
 // statusError carries an explicit HTTP status from routing and admin
 // operations to the handler edge.
@@ -152,13 +147,10 @@ func newUnit(e *zoo.Entry, fps [tune.NumVariants]string, cacheSize int) *unit {
 
 // Server is the power-estimation gateway: a registry of model-scoped
 // serving units (the zoo), request routing by model name or architecture,
-// per-model LRU response caches, estimates computed in the request handler
-// behind a bounded admission semaphore, admin endpoints for hot
-// add/swap/retire, and graceful drain on shutdown. It implements
-// http.Handler via Mux.
+// per-model LRU response caches, estimates computed in the request handler,
+// admin endpoints for hot add/swap/retire, and graceful drain on shutdown.
+// It implements http.Handler via Mux.
 type Server struct {
-	workers   int
-	deadline  time.Duration
 	cacheSize int
 
 	// umu guards the unit registry: the name->unit map, registration
@@ -171,21 +163,13 @@ type Server struct {
 	order       []string
 	defaultName string
 
-	// admitted holds one token per admitted computation (Workers+QueueSize
-	// of them); a cache miss that finds it full answers 429. slots holds
-	// one token per running computation (Workers of them); an admitted
-	// request waits for one until its deadline.
-	admitted chan struct{}
-	slots    chan struct{}
-
 	mu       sync.RWMutex // guards draining against admission
 	draining bool
 	pending  sync.WaitGroup // admitted-but-unfinished computations
 
-	// testHookCompute, when non-nil, runs inside a compute slot just
-	// before the computation. Tests use it to hold slots and drive the
-	// backpressure, deadline, cancel, and drain paths deterministically.
-	// Always nil in production.
+	// testHookCompute, when non-nil, runs in an admitted computation just
+	// before it computes. Tests use it to hold a computation and drive the
+	// drain paths deterministically. Always nil in production.
 	testHookCompute func()
 }
 
@@ -199,8 +183,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s := &Server{
-		workers:     max(cfg.Workers, 1),
-		deadline:    cfg.Deadline,
 		cacheSize:   cfg.CacheSize,
 		units:       make(map[string]*unit, len(set.Entries)),
 		states:      make(map[string]string, len(set.Entries)),
@@ -216,15 +198,6 @@ func New(cfg Config) (*Server, error) {
 		mModelState.With(e.Name).Set(stateValue(StateReady))
 	}
 	mModels.Set(float64(len(s.units)))
-	if s.deadline <= 0 {
-		s.deadline = DefaultDeadline
-	}
-	queue := cfg.QueueSize
-	if queue < 1 {
-		queue = DefaultQueueSize
-	}
-	s.admitted = make(chan struct{}, s.workers+queue)
-	s.slots = make(chan struct{}, s.workers)
 	// Note: mDraining is deliberately not reset here. The serve metrics are
 	// process-global, and a freshly constructed Server must not clear the
 	// draining indicator of another instance in the same process.
@@ -400,15 +373,11 @@ func (s *Server) pruneTombstonesLocked() {
 }
 
 // answer resolves one validated request through the unit's cache shard,
-// computing on a miss. A miss must first be admitted — at most
-// Workers+QueueSize computations are admitted at once, and Drain waits for
-// every one — then takes one of the Workers compute slots. When none is
-// free it waits, until the deadline or the client gives up; only that
-// waiting path builds the deadline context and counts in the queue depth.
-// The computation then runs to the end in the caller's goroutine and lands
-// in the cache. A hit takes no slot. The returned result is shared —
-// callers must not mutate it.
-func (s *Server) answer(ctx context.Context, u *unit, key string, compute func() (result, error)) (result, error) {
+// computing on a miss. A miss is admitted first — Drain waits for every
+// admitted computation — then computes to the end in the caller's
+// goroutine and lands in the cache. A hit is not admitted. The returned
+// result is shared — callers must not mutate it.
+func (s *Server) answer(u *unit, key string, compute func() (result, error)) (result, error) {
 	if res, ok := u.cache.Get(key); ok {
 		u.hit.Inc()
 		return res, nil
@@ -421,27 +390,7 @@ func (s *Server) answer(ctx context.Context, u *unit, key string, compute func()
 	if err := s.admit(); err != nil {
 		return result{}, err
 	}
-	defer s.release()
-	select {
-	case s.slots <- struct{}{}:
-	default:
-		ctx, cancel := context.WithTimeout(ctx, s.deadline)
-		defer cancel()
-		mQueueDepth.Add(1)
-		select {
-		case s.slots <- struct{}{}:
-			mQueueDepth.Add(-1)
-		case <-ctx.Done():
-			mQueueDepth.Add(-1)
-			if errors.Is(ctx.Err(), context.Canceled) {
-				mRejected.With("canceled").Inc()
-			} else {
-				mRejected.With("deadline").Inc()
-			}
-			return result{}, ctx.Err()
-		}
-	}
-	defer func() { <-s.slots }()
+	defer s.pending.Done()
 	if s.testHookCompute != nil {
 		s.testHookCompute()
 	}
@@ -452,29 +401,18 @@ func (s *Server) answer(ctx context.Context, u *unit, key string, compute func()
 	return res, err
 }
 
-// admit takes an admission token, honouring drain and backpressure. The
-// pending.Add happens under the read lock after the draining check, and
-// Drain takes the write lock before it waits, so no admission can race the
-// wait.
+// admit counts one computation in pending unless the server is draining.
+// The pending.Add happens under the read lock after the draining check,
+// and Drain takes the write lock before it waits, so no admission can race
+// the wait.
 func (s *Server) admit() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.draining {
 		return errDraining
 	}
-	select {
-	case s.admitted <- struct{}{}:
-		s.pending.Add(1)
-		return nil
-	default:
-		return errBackpressure
-	}
-}
-
-// release returns an admission token taken by admit.
-func (s *Server) release() {
-	<-s.admitted
-	s.pending.Done()
+	s.pending.Add(1)
+	return nil
 }
 
 // Drain flips the server into draining mode — /estimate and /sweep answer
@@ -566,9 +504,8 @@ func sweepResult(m *core.Model, req *SweepRequest) (result, error) {
 
 // EstimateOnce is the single-shot reference path: decode, validate, and
 // evaluate one estimate body against one model through eval.EstimateOne,
-// with no gateway, admission, ladder path, hand-written encoder or cache in
-// the way. The
-// serving determinism suite asserts that what the HTTP service returns
+// with no gateway, ladder path, hand-written encoder or cache in the way.
+// The serving determinism suite asserts that what the HTTP service returns
 // under concurrency — for tuned and derived entries alike — is
 // bit-identical to these bytes.
 func EstimateOnce(m *core.Model, body []byte) ([]byte, error) {

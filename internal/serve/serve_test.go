@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -467,7 +468,7 @@ func TestConfigRejects(t *testing.T) {
 	}
 }
 
-// gate instruments testHookCompute so tests can hold compute slots.
+// gate instruments testHookCompute so tests can hold computations.
 type gate struct {
 	entered chan struct{}
 	release chan struct{}
@@ -486,11 +487,11 @@ func (g *gate) hook() {
 // open releases every held and future computation. Idempotent.
 func (g *gate) open() { g.once.Do(func() { close(g.release) }) }
 
-// holdSlot starts a request on body and returns once its computation holds
-// a compute slot at the gate. The returned channel yields its status after
-// the gate opens. The gate also opens at cleanup, before the server shuts
+// holdCompute starts a request on body and returns once its computation is
+// held at the gate. The returned channel yields its status after the gate
+// opens. The gate also opens at cleanup, before the server shuts
 // down, so a failing test ends instead of hanging on the held request.
-func holdSlot(t *testing.T, ts *httptest.Server, g *gate, body []byte) <-chan int {
+func holdCompute(t *testing.T, ts *httptest.Server, g *gate, body []byte) <-chan int {
 	t.Helper()
 	t.Cleanup(g.open)
 	code := make(chan int, 1)
@@ -509,99 +510,11 @@ func holdSlot(t *testing.T, ts *httptest.Server, g *gate, body []byte) <-chan in
 	return code
 }
 
-func TestBackpressure429(t *testing.T) {
-	// One compute slot plus one waiting place: the third concurrent miss
-	// is over the admission bound.
-	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 1})
-	g := newGate()
-	s.testHookCompute = g.hook
-	held := holdSlot(t, ts, g, estBody(10))
-
-	// Two more misses race for the single waiting place: one is admitted
-	// and waits for the held slot, the other is refused at once.
-	type answer struct {
-		code       int
-		retryAfter string
-	}
-	answers := make(chan answer, 2)
-	for _, i := range []int{11, 12} {
-		go func() {
-			resp, err := http.Post(ts.URL+"/estimate", "application/json", bytes.NewReader(estBody(i)))
-			if err != nil {
-				t.Error(err)
-				answers <- answer{}
-				return
-			}
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			answers <- answer{resp.StatusCode, resp.Header.Get("Retry-After")}
-		}()
-	}
-	refused := <-answers
-	if refused.code != http.StatusTooManyRequests {
-		t.Fatalf("first answer while the slot is held: %d, want 429", refused.code)
-	}
-	if refused.retryAfter == "" {
-		t.Error("429 without Retry-After header")
-	}
-
-	g.open()
-	if code := <-held; code != http.StatusOK {
-		t.Errorf("held request finished with %d, want 200", code)
-	}
-	if admitted := <-answers; admitted.code != http.StatusOK {
-		t.Errorf("admitted request finished with %d, want 200", admitted.code)
-	}
-}
-
-func TestDeadline504(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, Deadline: 20 * time.Millisecond})
-	g := newGate()
-	s.testHookCompute = g.hook
-	held := holdSlot(t, ts, g, estBody(20))
-
-	// The only slot stays held past the deadline of a request waiting for it.
-	code, body := post(t, ts, "/estimate", estBody(21))
-	if code != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504: %s", code, body)
-	}
-	g.open()
-	if code := <-held; code != http.StatusOK {
-		t.Fatalf("held request finished with %d, want 200", code)
-	}
-}
-
-func TestCancel499(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
-	g := newGate()
-	s.testHookCompute = g.hook
-	held := holdSlot(t, ts, g, estBody(25))
-	canceled := mRejected.With("canceled")
-	before := canceled.Value()
-
-	// A client that gives up while waiting for the held slot.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodPost, "/estimate", bytes.NewReader(estBody(26))).WithContext(ctx)
-	s.Mux().ServeHTTP(rec, req)
-	if rec.Code != statusClientClosedRequest {
-		t.Fatalf("status %d, want 499: %s", rec.Code, rec.Body.Bytes())
-	}
-	if got := canceled.Value(); got != before+1 {
-		t.Fatalf(`aw_serve_rejected_total{reason="canceled"} = %v, want %v`, got, before+1)
-	}
-	g.open()
-	if code := <-held; code != http.StatusOK {
-		t.Fatalf("held request finished with %d, want 200", code)
-	}
-}
-
 func TestDrain(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{})
 	g := newGate()
 	s.testHookCompute = g.hook
-	held := holdSlot(t, ts, g, estBody(30)) // admitted work is now computing
+	held := holdCompute(t, ts, g, estBody(30)) // admitted work is now computing
 
 	drainStarted := make(chan struct{})
 	drained := make(chan error, 1)
@@ -653,17 +566,27 @@ func TestDrain(t *testing.T) {
 	if code := <-held; code != http.StatusOK {
 		t.Fatalf("held request finished with %d, want 200", code)
 	}
+	// A miss that passed the handler's draining check just before the drain
+	// began is refused at admission, not computed after the drain.
+	computed := false
+	_, err = s.answer(s.units[s.DefaultName()], "late", func() (result, error) {
+		computed = true
+		return result{}, nil
+	})
+	if !errors.Is(err, errDraining) || computed {
+		t.Fatalf("miss reaching admission after the drain: error %v, computed %v; want errDraining, not computed", err, computed)
+	}
 }
 
 // TestServeCloseIdempotentUnderRace is the shutdown regression: concurrent
-// Close calls racing a SIGTERM-style Drain while a computation holds a slot
+// Close calls racing a SIGTERM-style Drain while a computation is held
 // must all return cleanly, the held request must be answered, and the
 // server must refuse new work afterwards.
 func TestServeCloseIdempotentUnderRace(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{})
 	g := newGate()
 	s.testHookCompute = g.hook
-	held := holdSlot(t, ts, g, estBody(1))
+	held := holdCompute(t, ts, g, estBody(1))
 
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -766,8 +689,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 	exposition := string(b)
 	for _, want := range []string{
 		"aw_serve_requests_total", "aw_serve_request_seconds",
-		"aw_serve_cache_events_total", "aw_serve_queue_depth",
-		"aw_serve_draining", "aw_serve_estimates_total",
+		"aw_serve_cache_events_total", "aw_serve_draining",
+		"aw_serve_estimates_total",
 	} {
 		if !strings.Contains(exposition, want) {
 			t.Errorf("/metrics missing %s", want)

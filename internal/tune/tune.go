@@ -1,7 +1,6 @@
 package tune
 
 import (
-	"context"
 	"fmt"
 
 	"accelwattch/internal/core"
@@ -9,16 +8,14 @@ import (
 	"accelwattch/internal/ubench"
 )
 
-// Options configures Tune.
+// Options configures Exec.Tune.
 type Options struct {
-	// Workers is the execution-engine pool size. Values < 1 mean 1
-	// (sequential), which is also the safe default for testbenches with
-	// custom meters that cannot be replicated. Results are bit-identical
-	// at every worker count.
+	// Deprecated: Workers is ignored. The engine's pool, sized by NewExec,
+	// sets the workers.
 	Workers int
 }
 
-// DefaultOptions tunes on one worker.
+// DefaultOptions returns the Options Exec.Tune takes; none is read.
 func (tb *Testbench) DefaultOptions() Options { return Options{} }
 
 // Result is a fully-constructed AccelWattch model set for one architecture:
@@ -47,19 +44,6 @@ type Result struct {
 
 // Model returns the tuned model for a variant.
 func (r *Result) Model(v Variant) *core.Model { return r.Models[v] }
-
-// Tune runs the complete Figure 1 flow on a testbench: constant power
-// (Section 4.2), divergence-aware static models (Sections 4.3-4.5), idle-SM
-// power (Section 4.6), and per-variant dynamic tuning via quadratic
-// programming over the 102 microbenchmarks (Section 5). opts.Workers sets
-// the execution-engine parallelism; output is identical at any setting.
-func Tune(tb *Testbench, opts Options) (*Result, error) {
-	ex, err := NewExec(context.Background(), tb, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return ex.Tune(opts)
-}
 
 // Tune runs the complete Figure 1 flow through the execution engine: each
 // stage maps its measurements across the worker pool and folds them through

@@ -28,7 +28,7 @@ func sharedTuned(t *testing.T) (*Testbench, *Result) {
 		if tunedErr != nil {
 			return
 		}
-		tunedRes, tunedErr = Tune(tunedTB, tunedTB.DefaultOptions())
+		tunedRes, tunedErr = tunedTB.Sequential().Tune(tunedTB.DefaultOptions())
 	})
 	if tunedErr != nil {
 		t.Fatal(tunedErr)
